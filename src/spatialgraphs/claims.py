@@ -4,14 +4,19 @@ Each claim returns (ok, evidence) where evidence is a JSON-friendly dict
 carrying counts, witnesses, and per-trial outcomes.  Claims are pure given
 their seed; per-trial seeds are derived arithmetically so parallel runs
 produce identical output.
+
+The sampled checks behind both `verify` and `spatial` are registered once
+in CHECKS and run through run_trials.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+from dataclasses import dataclass
+from random import Random
 from typing import Callable, Optional
 
-from .canon import canonical_form, is_isomorphic
+from .canon import is_isomorphic
 from .catalog import (
     d4_in_n9_model,
     d4_reference_diagram,
@@ -23,7 +28,13 @@ from .catalog import (
     reduction_scripts,
 )
 from .cycles import all_cycles, disjoint_cycle_tuples, format_cycle, lift_cycle, phi_map
-from .diagrams import assign_over_under, build_convex_diagram, extract_gauss, random_knot_diagram
+from .diagrams import (
+    SpatialDiagram,
+    assign_over_under,
+    build_convex_diagram,
+    extract_gauss,
+    random_knot_diagram,
+)
 from .exchange import closure
 from .invariants import (
     a2,
@@ -43,16 +54,182 @@ def derived_seed(seed: int, index: int) -> int:
     return seed * 1_048_573 + index
 
 
-# state shared with forked trial workers; set before the pool is created
-_G_CTX: dict = {}
+def _require_counts(trials: Optional[int], jobs: int) -> None:
+    # a run of no trials would fold into a vacuous PASS
+    if trials is not None and trials < 1:
+        raise GraphError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise GraphError(f"jobs must be at least 1, got {jobs}")
 
 
-def _pmap(fn: Callable, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(fn, items)
+# (trial, context) of a pool worker; set by _init_worker in workers only
+_worker_task: Optional[tuple] = None
+
+
+def _init_worker(trial: Callable, ctx) -> None:
+    global _worker_task
+    _worker_task = (trial, ctx)
+
+
+def _worker_trial(i: int):
+    trial, ctx = _worker_task
+    return trial(ctx, i)
+
+
+def _map_trials(trial: Callable, ctx, trials: int, jobs: int) -> list:
+    """[trial(ctx, i) for i in range(trials)], over at most `jobs` processes.
+
+    Workers receive ctx once, through the pool initializer, so any
+    multiprocessing start method gives the same list.
+    """
+    workers = min(jobs, trials)
+    if workers <= 1:
+        return [trial(ctx, i) for i in range(trials)]
+    with mp.Pool(workers, initializer=_init_worker, initargs=(trial, ctx)) as pool:
+        return pool.map(_worker_trial, range(trials))
+
+
+# -- the trial engine of the sampled checks -----------------------------------------
+
+
+@dataclass(frozen=True)
+class TrialRun:
+    """One projection of a graph and the scope its trials evaluate."""
+
+    base: SpatialDiagram
+    scope: tuple
+    seed: Optional[int]  # None: trial i is over/under bit mask i
+
+
+@dataclass(frozen=True)
+class Check:
+    """A sampled check: a fixed projection, many over/under assignments."""
+
+    scope: Callable[..., tuple]  # graph -> ordered pairs, cycles or triples
+    trial: Callable[[TrialRun, int], Optional[dict]]  # row, None outside the premise
+    holds: Callable[[dict], bool]  # whether a row bears the check out
+    default_trials: int
+    verdict: str  # name of the flag in a `spatial` verdict
+    shapes: tuple[str, ...]  # fixtures the check applies to; () for the seven-member family
+    project: Callable[..., SpatialDiagram] = lambda g, seed: build_convex_diagram(g, seed=seed)
+
+
+def _assignment(run: TrialRun, i: int) -> tuple[int, SpatialDiagram]:
+    """Label and diagram of trial i: bit mask i, or the derived seed."""
+    if run.seed is None:
+        return i, assign_over_under(run.base, i)
+    s = derived_seed(run.seed, i)
+    return s, assign_over_under(run.base, seed=s)
+
+
+def _disjoint_pairs(g) -> tuple:
+    return tuple(sorted(disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)))
+
+
+def _seven_cycles(g) -> tuple:
+    return tuple(sorted((c for c in all_cycles(g) if len(c) == 7), key=sorted))
+
+
+def _bigon_pairs(g) -> tuple:
+    return tuple(tuple(sorted(p, key=sorted)) for p in _disjoint_pairs(g))
+
+
+def _cycles_and_triples(g) -> tuple:
+    cycles = sorted(all_cycles(g), key=lambda c: (len(c), sorted(c)))
+    triples = sorted(disjoint_cycle_tuples(g, 3), key=lambda t: sorted(sorted(c) for c in t))
+    return cycles, triples
+
+
+def _lk_parity_trial(run: TrialRun, i: int) -> dict:
+    census = lk_census(_assignment(run, i)[1], run.scope)
+    return {"trial": i, "parity": census.parity, "odd_witnesses": len(census.odd)}
+
+
+def _a2_parity_trial(run: TrialRun, i: int) -> dict:
+    census = a2_census(_assignment(run, i)[1], run.scope)
+    return {"trial": i, "parity": census.parity, "odd_witnesses": len(census.odd)}
+
+
+def _odd_pair_trial(run: TrialRun, i: int) -> dict:
+    census = lk_census(_assignment(run, i)[1], run.scope)
+    first = (
+        " + ".join(format_cycle(run.base.graph, c) for c in census.odd[0])
+        if census.odd
+        else None
+    )
+    return {"trial": i, "odd_pairs": len(census.odd), "witness": first}
+
+
+def _d4_trial(run: TrialRun, i: int) -> Optional[dict]:
+    label, d = _assignment(run, i)
+    lks = [linking_number(extract_gauss(d, [a, b])) for a, b in run.scope]
+    if not all(v % 2 for v in lks):
+        return None
+    return {"assignment": label, "lk": lks, "alpha": alpha(d)}
+
+
+def _dichotomy_trial(run: TrialRun, i: int) -> dict:
+    cycles, triples = run.scope
+    w = dichotomy_witness(_assignment(run, i)[1], cycles=cycles, triples=triples)
+    if w is None:
+        return {"trial": i, "kind": "none", "witness": ""}
+    return {
+        "trial": i,
+        "kind": w.kind,
+        "witness": " ".join(format_cycle(run.base.graph, c) for c in w.cycles),
+        "values": list(w.values),
+    }
+
+
+CHECKS: dict[str, Check] = {
+    "cg-k6": Check(
+        _disjoint_pairs, _lk_parity_trial, lambda r: r["parity"] == 1, 100,
+        "all_odd_parity", ("K6",),
+    ),
+    "cg-k7": Check(
+        _seven_cycles, _a2_parity_trial, lambda r: r["parity"] == 1, 100,
+        "all_odd_parity", ("K7",),
+    ),
+    "d4-lemma": Check(
+        _bigon_pairs, _d4_trial, lambda r: r["alpha"] == 1, 100,
+        "all_alpha_one", ("D4",), lambda g, seed: d4_reference_diagram(),
+    ),
+    "n9fn": Check(
+        _cycles_and_triples, _dichotomy_trial, lambda r: r["kind"] != "none", 200,
+        "witness_every_trial", ("N9", "N'10"),
+    ),
+    "petersen-lk": Check(
+        _disjoint_pairs, _odd_pair_trial, lambda r: r["odd_pairs"] > 0, 50,
+        "odd_pair_every_trial", (),
+    ),
+}
+
+
+def run_trials(
+    check: str, graph, seed: Optional[int], trials: Optional[int] = None, jobs: int = 1
+) -> tuple[TrialRun, list[dict]]:
+    """Build the check's projection of graph once, then evaluate its trials.
+
+    Trial i assigns over/under from derived_seed(seed, i); trials None runs
+    the check's default count.  seed None enumerates every assignment of
+    the projection instead (trial i takes bit mask i) and ignores trials.
+    Rows come back in trial order, without the trials outside the premise.
+    """
+    _require_counts(trials, jobs)
+    rec = CHECKS[check]
+    base = rec.project(graph, seed)
+    run = TrialRun(base, rec.scope(base.graph), seed)
+    if seed is None:
+        trials = 1 << base.crossing_count
+    elif trials is None:
+        trials = rec.default_trials
+    rows = _map_trials(rec.trial, run, trials, jobs)
+    return run, [r for r in rows if r is not None]
+
+
+def _failures(check: str, rows: list[dict], label: str = "trial") -> list:
+    holds = CHECKS[check].holds
+    return [r[label] for r in rows if not holds(r)]
 
 
 # -- family claims ---------------------------------------------------------------
@@ -220,8 +397,8 @@ def claim_c14_identification(trials, seed, jobs):
 # -- invariant claims ---------------------------------------------------------------
 
 
-def _knot_oracle_trial(i: int) -> tuple[int, int, int, int]:
-    d, cycle = random_knot_diagram(derived_seed(_G_CTX["seed"], i))
+def _knot_oracle_trial(seed: int, i: int) -> tuple[int, int, int, int]:
+    d, cycle = random_knot_diagram(derived_seed(seed, i))
     knot = extract_gauss(d, [cycle])
     gauss = a2(knot)
     skein = conway_polynomial(knot).get(2, 0)
@@ -229,7 +406,7 @@ def _knot_oracle_trial(i: int) -> tuple[int, int, int, int]:
 
 
 def claim_invariant_oracle(trials, seed, jobs):
-    trials = trials or 50
+    trials = 50 if trials is None else trials
     tre = fixture("Trefoil")
     fig = fixture("Fig8")
     hopf = fixture("Hopf")
@@ -246,9 +423,7 @@ def claim_invariant_oracle(trials, seed, jobs):
         and rows["figure_eight"]["conway"] == {0: 1, 2: -1}
         and rows["hopf_lk"] == 1
     )
-    _G_CTX.clear()
-    _G_CTX["seed"] = seed
-    sampled = _pmap(_knot_oracle_trial, range(trials), jobs)
+    sampled = _map_trials(_knot_oracle_trial, seed, trials, jobs)
     mismatches = [(i, c, g, s) for i, c, g, s in sampled if g != s]
     ok = fixed_ok and not mismatches
     rows.update(
@@ -261,59 +436,25 @@ def claim_invariant_oracle(trials, seed, jobs):
     return ok, rows
 
 
-def _cg_k6_trial(i: int):
-    d = assign_over_under(_G_CTX["base"], seed=derived_seed(_G_CTX["seed"], i))
-    census = lk_census(d, _G_CTX["pairs"])
-    return (i, census.parity, len(census.odd))
-
-
-def _cg_k7_trial(i: int):
-    d = assign_over_under(_G_CTX["base"], seed=derived_seed(_G_CTX["seed"], i))
-    census = a2_census(d, _G_CTX["cycles"])
-    return (i, census.parity, len(census.odd))
+def _conway_gordon(check, name, scope_key, size, trials, seed, jobs):
+    run, rows = run_trials(check, fixture(name), seed, trials, jobs)
+    if len(run.scope) != size:
+        return False, {scope_key: len(run.scope)}
+    even = _failures(check, rows)
+    return not even, {
+        "trials": len(rows),
+        scope_key: size,
+        "even_parity_trials": even,
+        "odd_witnesses_first_trial": rows[0]["odd_witnesses"],
+    }
 
 
 def claim_conway_gordon_k6(trials, seed, jobs):
-    trials = trials or 100
-    g = fixture("K6")
-    _G_CTX.clear()
-    _G_CTX["graph"] = g
-    _G_CTX["base"] = build_convex_diagram(g, seed=seed)
-    _G_CTX["pairs"] = sorted(
-        disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)
-    )
-    _G_CTX["seed"] = seed
-    if len(_G_CTX["pairs"]) != 10:
-        return False, {"disjoint_pairs": len(_G_CTX["pairs"])}
-    rows = _pmap(_cg_k6_trial, range(trials), jobs)
-    even = [i for i, parity, _ in rows if parity != 1]
-    return not even, {
-        "trials": trials,
-        "disjoint_pairs": 10,
-        "even_parity_trials": even,
-        "odd_witnesses_first_trial": rows[0][2],
-    }
+    return _conway_gordon("cg-k6", "K6", "disjoint_pairs", 10, trials, seed, jobs)
 
 
 def claim_conway_gordon_k7(trials, seed, jobs):
-    trials = trials or 100
-    g = fixture("K7")
-    _G_CTX.clear()
-    _G_CTX["graph"] = g
-    _G_CTX["base"] = build_convex_diagram(g, seed=seed)
-    cycles = [c for c in all_cycles(g) if len(c) == 7]
-    _G_CTX["cycles"] = sorted(cycles, key=sorted)
-    _G_CTX["seed"] = seed
-    if len(cycles) != 360:
-        return False, {"seven_cycles": len(cycles)}
-    rows = _pmap(_cg_k7_trial, range(trials), jobs)
-    even = [i for i, parity, _ in rows if parity != 1]
-    return not even, {
-        "trials": trials,
-        "seven_cycles": 360,
-        "even_parity_trials": even,
-        "odd_witnesses_first_trial": rows[0][2],
-    }
+    return _conway_gordon("cg-k7", "K7", "seven_cycles", 360, trials, seed, jobs)
 
 
 def claim_conway_gordon(trials, seed, jobs):
@@ -322,31 +463,16 @@ def claim_conway_gordon(trials, seed, jobs):
     return ok6 and ok7, {"k6": ev6, "k7": ev7}
 
 
-def _petersen_trial(i: int):
-    d = assign_over_under(_G_CTX["base"], seed=derived_seed(_G_CTX["seed"], i))
-    census = lk_census(d, _G_CTX["pairs"])
-    return (i, len(census.odd))
-
-
 def claim_petersen_lk(trials, seed, jobs):
-    trials = trials or 50
     fam = petersen_family()
     members = {}
     ok = True
     for rec in sorted(fam.records, key=lambda r: (r.vertex_count, r.name)):
-        g = rec.graph
-        _G_CTX.clear()
-        _G_CTX["graph"] = g
-        _G_CTX["base"] = build_convex_diagram(g, seed=seed)
-        _G_CTX["pairs"] = sorted(
-            disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)
-        )
-        _G_CTX["seed"] = seed
-        rows = _pmap(_petersen_trial, range(trials), jobs)
-        missing = [i for i, odd in rows if odd == 0]
+        run, rows = run_trials("petersen-lk", rec.graph, seed, trials, jobs)
+        missing = _failures("petersen-lk", rows)
         members[rec.name] = {
-            "disjoint_pairs": len(_G_CTX["pairs"]),
-            "trials": trials,
+            "disjoint_pairs": len(run.scope),
+            "trials": len(rows),
             "trials_without_odd_pair": missing,
         }
         if missing:
@@ -354,60 +480,47 @@ def claim_petersen_lk(trials, seed, jobs):
     return ok, {"members": members}
 
 
+def _d4_host_trial(ctx, i: int) -> Optional[int]:
+    """alpha of host sample i when both lifted linking numbers are odd."""
+    seed, host, model, lifted = ctx
+    # the vertex order is shuffled per trial: in the sorted convex order one
+    # lifted pair never interleaves, so its linking number would vanish
+    # identically and the premise would be unsatisfiable
+    rng = Random(derived_seed(seed, i))
+    order = list(host.vertices)
+    rng.shuffle(order)
+    base = build_convex_diagram(host, order=order, seed=rng.randrange(1 << 30))
+    d = assign_over_under(base, seed=rng.randrange(1 << 30))
+    lks = [linking_number(extract_gauss(d, [a, b])) for a, b in lifted]
+    return alpha(d, model) if all(v % 2 for v in lks) else None
+
+
 def claim_d4_lemma(trials, seed, jobs):
-    ref = d4_reference_diagram()
-    pairs = sorted(
-        disjoint_cycle_tuples(ref.graph, 2), key=lambda p: sorted(sorted(c) for c in p)
-    )
-    if len(pairs) != 2:
-        return False, {"disjoint_bigon_pairs": len(pairs)}
-    (pa1, pa2), (pb1, pb2) = (tuple(sorted(p, key=sorted)) for p in pairs)
-    n = ref.crossing_count
-    both_odd = 0
-    alpha_failures = []
-    for bits in range(1 << n):
-        d = assign_over_under(ref, bits)
-        lk1 = linking_number(extract_gauss(d, [pa1, pa2]))
-        lk2 = linking_number(extract_gauss(d, [pb1, pb2]))
-        if lk1 % 2 and lk2 % 2:
-            both_odd += 1
-            if alpha(d) != 1:
-                alpha_failures.append(bits)
+    run, rows = run_trials("d4-lemma", fixture("D4"), None, None, jobs)
+    if len(run.scope) != 2:
+        return False, {"disjoint_bigon_pairs": len(run.scope)}
+    n = run.base.crossing_count
+    alpha_failures = _failures("d4-lemma", rows, "assignment")
     host = fixture("N9")
     model = d4_in_n9_model()
     lifted = [
         tuple(sorted((lift_cycle(model, a), lift_cycle(model, b)), key=sorted))
-        for a, b in (tuple(sorted(p, key=sorted)) for p in pairs)
+        for a, b in run.scope
     ]
-    # the vertex order is shuffled per trial: in the sorted convex order one
-    # lifted pair never interleaves, so its linking number would vanish
-    # identically and the premise would be unsatisfiable
-    from random import Random
-
-    host_both_odd = 0
-    host_failures = []
-    samples = trials or 20
-    for i in range(samples):
-        rng = Random(derived_seed(seed, i))
-        order = list(host.vertices)
-        rng.shuffle(order)
-        base = build_convex_diagram(host, order=order, seed=rng.randrange(1 << 30))
-        d = assign_over_under(base, seed=rng.randrange(1 << 30))
-        lks = [linking_number(extract_gauss(d, [a, b])) for a, b in lifted]
-        if all(v % 2 for v in lks):
-            host_both_odd += 1
-            if alpha(d, model) != 1:
-                host_failures.append(i)
+    samples = 20 if trials is None else trials
+    alphas = _map_trials(_d4_host_trial, (seed, host, model, lifted), samples, jobs)
+    host_both_odd = sum(1 for v in alphas if v is not None)
+    host_failures = [i for i, v in enumerate(alphas) if v not in (None, 1)]
     ok = (
         not alpha_failures
-        and both_odd > 0
+        and len(rows) > 0
         and not host_failures
         and host_both_odd > 0
     )
     return ok, {
         "crossings": n,
         "assignments": 1 << n,
-        "both_odd_assignments": both_odd,
+        "both_odd_assignments": len(rows),
         "alpha_failures": alpha_failures,
         "host_samples": samples,
         "host_both_odd": host_both_odd,
@@ -415,40 +528,21 @@ def claim_d4_lemma(trials, seed, jobs):
     }
 
 
-def _dichotomy_trial(i: int):
-    d = assign_over_under(_G_CTX["base"], seed=derived_seed(_G_CTX["seed"], i))
-    w = dichotomy_witness(d, cycles=_G_CTX["cycles"], triples=_G_CTX["triples"], check_shape=False)
-    if w is None:
-        return (i, "none", "")
-    desc = " ".join(format_cycle(_G_CTX["graph"], c) for c in w.cycles)
-    return (i, w.kind, desc)
-
-
 def claim_n9fn_dichotomy(trials, seed, jobs):
-    trials = trials or 200
     out = {}
     ok = True
     for name in ("N9", "N'10"):
-        g = fixture(name)
-        _G_CTX.clear()
-        _G_CTX["graph"] = g
-        _G_CTX["base"] = build_convex_diagram(g, seed=seed)
-        _G_CTX["cycles"] = sorted(all_cycles(g), key=lambda c: (len(c), sorted(c)))
-        _G_CTX["triples"] = sorted(
-            disjoint_cycle_tuples(g, 3), key=lambda t: sorted(sorted(c) for c in t)
-        )
-        _G_CTX["seed"] = seed
-        rows = _pmap(_dichotomy_trial, range(trials), jobs)
-        misses = [i for i, kind, _ in rows if kind == "none"]
+        _, rows = run_trials("n9fn", fixture(name), seed, trials, jobs)
+        misses = _failures("n9fn", rows)
         kinds = {
-            "knot": sum(1 for _, kind, _ in rows if kind == "knot"),
-            "link": sum(1 for _, kind, _ in rows if kind == "link"),
+            "knot": sum(1 for r in rows if r["kind"] == "knot"),
+            "link": sum(1 for r in rows if r["kind"] == "link"),
         }
         out[name] = {
-            "trials": trials,
+            "trials": len(rows),
             "witness_kinds": kinds,
             "trials_without_witness": misses,
-            "first_witness": rows[0][1:] if rows else None,
+            "first_witness": (rows[0]["kind"], rows[0]["witness"]),
         }
         if misses:
             ok = False
@@ -479,4 +573,5 @@ def run_claim(claim_id: str, trials: Optional[int] = None, seed: int = 0, jobs: 
         fn = CLAIMS[claim_id]
     except KeyError:
         raise GraphError(f"unknown claim {claim_id!r}") from None
+    _require_counts(trials, jobs)
     return fn(trials, seed, jobs)

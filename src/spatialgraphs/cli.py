@@ -16,29 +16,13 @@ import time
 
 from . import __version__
 from .canon import canonical_form
-from .catalog import (
-    d4_reference_diagram,
-    fixture,
-    fixture_names,
-    petersen_family,
-)
-from .claims import CLAIMS, derived_seed, run_claim
-from .cycles import all_cycles, disjoint_cycle_tuples, format_cycle
-from .diagrams import assign_over_under, build_convex_diagram, extract_gauss
+from .catalog import fixture, fixture_names, petersen_family
+from .claims import CHECKS, CLAIMS, run_claim, run_trials
 from .exchange import annotate_flags, closure, write_manifest
-from .invariants import (
-    GaussLink,
-    alpha,
-    dichotomy_witness,
-    format_gauss,
-    linking_number,
-    lk_census,
-    a2_census,
-)
+from .invariants import GaussLink, format_gauss
 from .multigraph import GraphError, parse_edge_list
 
 _FAMILY_SEEDS = ("K6", "K7", "K3311")
-_CHECKS = ("cg-k6", "cg-k7", "d4-lemma", "n9fn", "petersen-lk")
 
 _CLAIM_INPUTS = {
     "petersen-family": ("K6", "PetersenRef"),
@@ -68,7 +52,10 @@ def _input_hash(name: str) -> str:
 
 def _default_seed() -> int:
     env = os.environ.get("KNOT_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise GraphError(f"KNOT_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spa = sub.add_parser("spatial", help="sampled spatial-embedding reports")
     spa.add_argument("--graph", required=True, help="fixture name or edge-list file")
-    spa.add_argument("--check", required=True, choices=_CHECKS)
+    spa.add_argument("--check", required=True, choices=tuple(CHECKS))
     spa.add_argument("--trials", type=int, default=None)
     spa.add_argument("--seed", type=int, default=None)
     spa.add_argument("--enumerate", action="store_true", dest="enumerate_all")
@@ -234,8 +221,16 @@ def cmd_verify(args) -> int:
 # -- spatial ---------------------------------------------------------------------
 
 
-def _require_shape(g, names) -> str:
+def _require_shape(g, check: str) -> str:
+    """Name of the fixture, or of the seven-member family member, that g
+    is isomorphic to; the check's theorem covers only those graphs."""
     cert = canonical_form(g)
+    names = CHECKS[check].shapes
+    if not names:
+        members = {r.certificate: r.name for r in petersen_family().records}
+        if cert not in members:
+            raise GraphError("graph is not in the seven-member family")
+        return members[cert]
     for name in names:
         if cert == canonical_form(fixture(name)):
             return name
@@ -246,108 +241,16 @@ def cmd_spatial(args) -> int:
     g = _load_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     check = args.check
-    trials = args.trials
-    rows: list[dict] = []
-    ok = True
-
+    name = _require_shape(g, check)
+    enumerate_all = args.enumerate_all and check == "d4-lemma"
+    _, rows = run_trials(check, g, None if enumerate_all else seed, args.trials, args.jobs)
+    rec = CHECKS[check]
+    ok = all(rec.holds(r) for r in rows)
     if check == "d4-lemma":
-        _require_shape(g, ("D4",))
-        ref = d4_reference_diagram()
-        pairs = sorted(
-            disjoint_cycle_tuples(ref.graph, 2),
-            key=lambda p: sorted(sorted(c) for c in p),
-        )
-        pair_lists = [tuple(sorted(p, key=sorted)) for p in pairs]
-        if args.enumerate_all:
-            space = range(1 << ref.crossing_count)
-            assignments = [assign_over_under(ref, bits) for bits in space]
-            labels = list(space)
-        else:
-            n = trials or 100
-            labels = [derived_seed(seed, i) for i in range(n)]
-            assignments = [assign_over_under(ref, seed=s) for s in labels]
-        for label, d in zip(labels, assignments):
-            lks = [
-                linking_number(extract_gauss(d, [a, b])) for a, b in pair_lists
-            ]
-            if all(v % 2 for v in lks):
-                value = alpha(d)
-                rows.append({"assignment": label, "lk": lks, "alpha": value})
-                if value != 1:
-                    ok = False
-        verdict = {
-            "both_odd_cases": len(rows),
-            "all_alpha_one": ok,
-        }
-    elif check in ("cg-k6", "cg-k7"):
-        name = _require_shape(g, ("K6",) if check == "cg-k6" else ("K7",))
-        base = build_convex_diagram(g, seed=seed)
-        n = trials or 100
-        if check == "cg-k6":
-            scope = sorted(
-                disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)
-            )
-        else:
-            scope = sorted(
-                (c for c in all_cycles(g) if len(c) == 7), key=sorted
-            )
-        for i in range(n):
-            d = assign_over_under(base, seed=derived_seed(seed, i))
-            census = (
-                lk_census(d, scope) if check == "cg-k6" else a2_census(d, scope)
-            )
-            rows.append(
-                {"trial": i, "parity": census.parity, "odd_witnesses": len(census.odd)}
-            )
-            if census.parity != 1:
-                ok = False
-        verdict = {"graph": name, "trials": n, "all_odd_parity": ok}
-    elif check == "petersen-lk":
-        members = {r.certificate: r.name for r in petersen_family().records}
-        cert = canonical_form(g)
-        if cert not in members:
-            raise GraphError("graph is not in the seven-member family")
-        base = build_convex_diagram(g, seed=seed)
-        scope = sorted(
-            disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)
-        )
-        n = trials or 50
-        for i in range(n):
-            d = assign_over_under(base, seed=derived_seed(seed, i))
-            census = lk_census(d, scope)
-            first = (
-                " + ".join(format_cycle(g, c) for c in census.odd[0])
-                if census.odd
-                else None
-            )
-            rows.append({"trial": i, "odd_pairs": len(census.odd), "witness": first})
-            if not census.odd:
-                ok = False
-        verdict = {"member": members[cert], "trials": n, "odd_pair_every_trial": ok}
-    else:  # n9fn
-        name = _require_shape(g, ("N9", "N'10"))
-        base = build_convex_diagram(g, seed=seed)
-        cycles = sorted(all_cycles(g), key=lambda c: (len(c), sorted(c)))
-        triples = sorted(
-            disjoint_cycle_tuples(g, 3), key=lambda t: sorted(sorted(c) for c in t)
-        )
-        n = trials or 200
-        for i in range(n):
-            d = assign_over_under(base, seed=derived_seed(seed, i))
-            w = dichotomy_witness(d, cycles=cycles, triples=triples, check_shape=False)
-            if w is None:
-                rows.append({"trial": i, "kind": "none", "witness": ""})
-                ok = False
-            else:
-                rows.append(
-                    {
-                        "trial": i,
-                        "kind": w.kind,
-                        "witness": " ".join(format_cycle(g, c) for c in w.cycles),
-                        "values": list(w.values),
-                    }
-                )
-        verdict = {"graph": name, "trials": n, "witness_every_trial": ok}
+        verdict = {"both_odd_cases": len(rows)}
+    else:
+        verdict = {"member" if check == "petersen-lk" else "graph": name, "trials": len(rows)}
+    verdict[rec.verdict] = ok
 
     report = {
         "check": check,

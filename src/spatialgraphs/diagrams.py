@@ -21,7 +21,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .cycles import Cycle, cycle_order
+from .cycles import Cycle, cycle_order, cycle_vertices
 from .invariants import GaussLink, Passage
 from .multigraph import GraphError, MultiGraph
 
@@ -348,7 +348,7 @@ def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) 
         comps = [components]
     else:
         comps = list(components)
-    comps = sorted(comps, key=lambda c: (min(cycle_vertices_local(d.graph, c)), sorted(c)))
+    comps = sorted(comps, key=lambda c: (min(cycle_vertices(d.graph, c)), sorted(c)))
     all_eids = set()
     for c in comps:
         if all_eids & set(c):
@@ -385,14 +385,6 @@ def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) 
             passages.append(Passage(cid, over, sign))
         out_components.append(tuple(passages))
     return GaussLink(tuple(out_components))
-
-
-def cycle_vertices_local(g: MultiGraph, c: Cycle) -> frozenset[int]:
-    out = set()
-    for eid in c:
-        u, v = g.endpoints(eid)
-        out.update((u, v))
-    return frozenset(out)
 
 
 # -- convex position construction ---------------------------------------------

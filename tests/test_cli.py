@@ -1,7 +1,14 @@
 """Command line interface, run in process."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import spatialgraphs
 from spatialgraphs import cli
 from spatialgraphs.multigraph import parse_edge_list
 
@@ -98,13 +105,89 @@ def test_spatial_shape_guard(capsys):
     assert "must be one of" in err
 
 
-def test_spatial_jobs_deterministic(capsys):
-    argv = ["spatial", "--graph", "K6", "--check", "cg-k6",
-            "--trials", "12", "--seed", "9", "--format", "json"]
+@pytest.mark.parametrize("graph,check,trials", [
+    ("K6", "cg-k6", "12"),
+    ("N9", "n9fn", "4"),
+    ("PetersenRef", "petersen-lk", "4"),
+], ids=["cg-k6", "n9fn", "petersen-lk"])
+def test_spatial_jobs_deterministic(capsys, graph, check, trials):
+    argv = ["spatial", "--graph", graph, "--check", check,
+            "--trials", trials, "--seed", "9", "--format", "json"]
     code1, out1, _ = run(capsys, *argv, "--jobs", "1")
     code2, out2, _ = run(capsys, *argv, "--jobs", "3")
     assert code1 == code2 == 0
     assert json.loads(out1) == json.loads(out2)
+
+
+def _without_run_fields(report):
+    return {k: v for k, v in report.items() if k not in ("elapsed_s", "jobs")}
+
+
+def test_verify_jobs_under_spawn_matches_serial(capsys):
+    argv = ["verify", "conway-gordon-k6", "--trials", "4", "--seed", "1", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    serial = json.loads(out)
+    script = (
+        "import multiprocessing, sys\n"
+        "from spatialgraphs import cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        f"sys.exit(cli.main({argv + ['--jobs', '2']!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(spatialgraphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spawned = json.loads(proc.stdout)
+    assert spawned["jobs"] == 2
+    assert _without_run_fields(spawned) == _without_run_fields(serial)
+
+
+# sha256 of each JSON report with its wall-clock and interpreter-version
+# fields dropped, recorded before the trial loops of `verify` and `spatial`
+# were merged into one engine
+PINNED_REPORTS = {
+    "spatial --graph PetersenRef --check petersen-lk --trials 3 --seed 5":
+        "44eed743555043b87040f7037d818af3366017ca9a9b7b85f69247df3037c0bd",
+    "spatial --graph D4 --check d4-lemma --trials 20 --seed 3":
+        "af6dfee7322952bb887686186641d31b0e6b07b08fcefe64410be8a02eefbdfe",
+    "spatial --graph N9 --check n9fn --trials 3 --seed 2":
+        "4b470a724a99e797b356f2f444d19747a224777031b6bc7ae9f8cac4ae7a88cc",
+    "verify conway-gordon-k6 --trials 4 --seed 1":
+        "bf9f6bcf809bbf0edf3de8af00083b4a64724d76dc7d778380171c9fda309387",
+    "verify n9fn-dichotomy --trials 2 --seed 4":
+        "7248362c8f866303555725932804c5227eab56f7dca6426f23be7c260632ecb6",
+}
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_REPORTS))
+def test_reports_match_pins(capsys, call):
+    code, out, _ = run(capsys, *call.split(), "--format", "json")
+    assert code == 0
+    report = {k: v for k, v in json.loads(out).items() if k not in ("elapsed_s", "python")}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[call]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "-3"],
+    ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "0"],
+    ["spatial", "--graph", "D4", "--check", "d4-lemma", "--enumerate", "--trials", "0"],
+    ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "2", "--jobs", "0"],
+    ["verify", "petersen-lk", "--trials", "-1"],
+    ["verify", "n9fn-dichotomy", "--trials", "-2"],
+    ["verify", "conway-gordon-k6", "--trials", "-1"],
+    ["verify", "conway-gordon-k6", "--trials", "0"],
+    ["verify", "invariant-oracle", "--trials", "0"],
+    ["verify", "petersen-family", "--trials", "0"],
+    ["verify", "conway-gordon-k6", "--trials", "2", "--jobs", "-1"],
+], ids=" ".join)
+def test_bad_trial_or_job_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_knot_seed_env_is_default(capsys, monkeypatch):
@@ -112,6 +195,14 @@ def test_knot_seed_env_is_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "petersen-family", "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 31
+
+
+def test_bad_knot_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("KNOT_SEED", "abc")
+    code, out, err = run(capsys, "verify", "petersen-family")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "KNOT_SEED" in err
 
 
 def test_missing_graph_file_exits_2(capsys, tmp_path):

@@ -164,12 +164,6 @@ def test_dichotomy_witness_deterministic_case(n9):
     assert w.values[0] % 2 == 1
 
 
-def test_dichotomy_witness_rejects_other_shapes():
-    d = assign_over_under(build_convex_diagram(complete_graph(6)), bits=0)
-    with pytest.raises(GraphError, match="fixture shapes"):
-        dichotomy_witness(d)
-
-
 def test_cycle_a2_agrees_with_extraction(n9):
     d = assign_over_under(build_convex_diagram(n9), seed=4)
     cyc = parse_cycle(n9, "[1 3 5 8 2 4 6]")
