@@ -12,6 +12,7 @@ in CHECKS and run through run_trials.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
@@ -77,12 +78,13 @@ def _worker_trial(i: int):
 
 
 def _map_trials(trial: Callable, ctx, trials: int, jobs: int) -> list:
-    """[trial(ctx, i) for i in range(trials)], over at most `jobs` processes.
+    """[trial(ctx, i) for i in range(trials)], over at most `jobs` processes
+    and never more than the machine has CPUs.
 
     Workers receive ctx once, through the pool initializer, so any
     multiprocessing start method gives the same list.
     """
-    workers = min(jobs, trials)
+    workers = min(jobs, trials, os.cpu_count() or 1)
     if workers <= 1:
         return [trial(ctx, i) for i in range(trials)]
     with mp.Pool(workers, initializer=_init_worker, initargs=(trial, ctx)) as pool:

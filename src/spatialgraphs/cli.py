@@ -242,8 +242,11 @@ def cmd_spatial(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     check = args.check
     name = _require_shape(g, check)
-    enumerate_all = args.enumerate_all and check == "d4-lemma"
-    _, rows = run_trials(check, g, None if enumerate_all else seed, args.trials, args.jobs)
+    if args.enumerate_all and check != "d4-lemma":
+        raise GraphError("--enumerate applies only to the d4-lemma check")
+    if args.enumerate_all and args.trials is not None:
+        raise GraphError("--enumerate runs every assignment; it takes no --trials")
+    _, rows = run_trials(check, g, None if args.enumerate_all else seed, args.trials, args.jobs)
     rec = CHECKS[check]
     ok = all(rec.holds(r) for r in rows)
     if check == "d4-lemma":

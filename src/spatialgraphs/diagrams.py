@@ -6,7 +6,8 @@ and construction certifies generic position: transversal double points
 only, no vertex on a foreign edge, no triple points, no overlapping or
 self-intersecting polylines.  Over/under information lives on the crossing
 records, so reassigning a diagram's crossings is cheap and the geometry is
-shared.
+shared, together with what is derived from it once per projection: each
+crossing's orientation and each cycle's walk through its crossings.
 
 Randomly assigning over/under bits to a fixed projection samples honest
 spatial embeddings: every assignment of a generic projection is realizable
@@ -144,6 +145,10 @@ class SpatialDiagram:
         self.edges = edges
         self.crossings = self._compute_crossings()
         self._per_edge = self._index_per_edge()
+        # bit-independent data, shared by every over/under clone: the sign
+        # of cross(dir_a, dir_b) per crossing, and _walk's memo per cycle
+        self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
+        self._walks: dict[Cycle, tuple] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -272,6 +277,8 @@ class SpatialDiagram:
         clone.edges = self.edges
         clone.crossings = crossings
         clone._per_edge = self._per_edge
+        clone._orient = self._orient
+        clone._walks = self._walks
         return clone
 
     @property
@@ -321,7 +328,6 @@ def _component_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, bool]]:
         return [(ids[0], True)]
     if len(ids) == 2:
         e1, e2 = ids
-        u, v = g.endpoints(e1)
         # start at min(u, v): e1 forward (u -> v), e2 backward (v -> u)
         return [(e1, True), (e2, False)]
     order = cycle_order(g, cycle)
@@ -337,6 +343,26 @@ def _component_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, bool]]:
     return out
 
 
+def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
+    """(smallest vertex, passages) of a cycle, computed once per projection.
+
+    The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
+    with walk_dir +1 when eid is walked from stored u to stored v; none of
+    it depends on the over/under bits.
+    """
+    memo = d._walks.get(cycle)
+    if memo is None:
+        passages = []
+        for eid, forward in _component_walk(d.graph, cycle):
+            per = d._per_edge[eid]
+            for _, cid, side in per if forward else reversed(per):
+                c = d.crossings[cid]
+                other = c.edge_b if side == "a" else c.edge_a
+                passages.append((eid, 1 if forward else -1, cid, side, other))
+        memo = d._walks[cycle] = (min(cycle_vertices(d.graph, cycle)), tuple(passages))
+    return memo
+
+
 def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) -> GaussLink:
     """Gauss code of the sub-diagram spanned by disjoint cycles of d's graph.
 
@@ -347,42 +373,25 @@ def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) 
     if isinstance(components, frozenset) and all(isinstance(x, int) for x in components):
         comps = [components]
     else:
-        comps = list(components)
-    comps = sorted(comps, key=lambda c: (min(cycle_vertices(d.graph, c)), sorted(c)))
+        comps = [frozenset(c) for c in components]
+    walks = {c: _walk(d, c) for c in comps}
+    comps = sorted(comps, key=lambda c: (walks[c][0], sorted(c)))
     all_eids = set()
     for c in comps:
-        if all_eids & set(c):
+        if all_eids & c:
             raise GraphError("components share edges")
-        all_eids |= set(c)
+        all_eids |= c
 
-    # direction multiplier of each edge as walked, per component
-    walk_dirs: dict[int, int] = {}
-    sequences: list[list[tuple[int, str]]] = []
-    for c in comps:
-        seq: list[tuple[int, str]] = []
-        for eid, forward in _component_walk(d.graph, c):
-            walk_dirs[eid] = 1 if forward else -1
-            passages = d._per_edge[eid]
-            ordered = passages if forward else tuple(reversed(passages))
-            for param, cid, side in ordered:
-                other = (
-                    d.crossings[cid].edge_b if side == "a" else d.crossings[cid].edge_a
-                )
-                if other in all_eids:
-                    seq.append((cid, side))
-        sequences.append(seq)
-
+    walk_dirs = {eid: w for c in comps for eid, w, _, _, _ in walks[c][1]}
     out_components = []
-    for seq in sequences:
+    for c in comps:
         passages = []
-        for cid, side in seq:
-            c = d.crossings[cid]
-            over = side == c.over
-            da = (c.dir_a[0] * walk_dirs[c.edge_a], c.dir_a[1] * walk_dirs[c.edge_a])
-            db = (c.dir_b[0] * walk_dirs[c.edge_b], c.dir_b[1] * walk_dirs[c.edge_b])
-            d_over, d_under = (da, db) if c.over == "a" else (db, da)
-            sign = 1 if _cross(d_over, d_under) > 0 else -1
-            passages.append(Passage(cid, over, sign))
+        for _, _, cid, side, other in walks[c][1]:
+            if other in all_eids:
+                x = d.crossings[cid]
+                # cross(d_over, d_under) of the walked directions, in integers
+                sign = d._orient[cid] * walk_dirs[x.edge_a] * walk_dirs[x.edge_b]
+                passages.append(Passage(cid, side == x.over, sign if x.over == "a" else -sign))
         out_components.append(tuple(passages))
     return GaussLink(tuple(out_components))
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import spatialgraphs
-from spatialgraphs import cli
+from spatialgraphs import claims, cli
 from spatialgraphs.multigraph import parse_edge_list
 
 
@@ -119,6 +119,40 @@ def test_spatial_jobs_deterministic(capsys, graph, check, trials):
     assert json.loads(out1) == json.loads(out2)
 
 
+def _times(ctx, i):
+    return ctx * i
+
+
+@pytest.mark.parametrize("jobs,trials,cpus,workers", [
+    (1000, 1000, 4, 4),
+    (3, 2, 4, 2),
+    (3, 12, None, None),
+    (1, 12, 4, None),
+])
+def test_pool_is_bounded_by_the_machine(monkeypatch, jobs, trials, cpus, workers):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(claims.mp, "Pool", SerialPool)
+    monkeypatch.setattr(claims.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(claims, "_worker_task", None)
+    assert claims._map_trials(_times, 3, trials, jobs) == [3 * i for i in range(trials)]
+    assert started == ([] if workers is None else [workers])
+
+
 def _without_run_fields(report):
     return {k: v for k, v in report.items() if k not in ("elapsed_s", "jobs")}
 
@@ -175,6 +209,9 @@ def test_reports_match_pins(capsys, call):
     ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "0"],
     ["spatial", "--graph", "D4", "--check", "d4-lemma", "--enumerate", "--trials", "0"],
     ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "2", "--jobs", "0"],
+    ["spatial", "--graph", "K6", "--check", "cg-k6", "--enumerate", "--trials", "2"],
+    ["spatial", "--graph", "K6", "--check", "cg-k6", "--enumerate"],
+    ["spatial", "--graph", "D4", "--check", "d4-lemma", "--enumerate", "--trials", "5"],
     ["verify", "petersen-lk", "--trials", "-1"],
     ["verify", "n9fn-dichotomy", "--trials", "-2"],
     ["verify", "conway-gordon-k6", "--trials", "-1"],

@@ -1,11 +1,19 @@
 """Exact-rational diagrams and their genericity certification."""
 
+import functools
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialgraphs.catalog import d4_reference_diagram, fixture
+from spatialgraphs.cycles import all_cycles, cycle_vertices, disjoint_cycle_tuples
 from spatialgraphs.diagrams import (
     GenericityError,
     SpatialDiagram,
+    _component_walk,
+    _cross,
     assign_over_under,
     build_convex_diagram,
     diagram_from_json,
@@ -13,6 +21,7 @@ from spatialgraphs.diagrams import (
     extract_gauss,
     random_knot_diagram,
 )
+from spatialgraphs.invariants import GaussLink, Passage
 from spatialgraphs.multigraph import complete_graph, from_pairs
 
 
@@ -126,3 +135,85 @@ def test_random_knot_diagram_is_deterministic():
     assert cyc1 == cyc2
     assert [c.over for c in d1.crossings] == [c.over for c in d2.crossings]
     assert 2 <= d1.crossing_count <= 16
+
+
+# -- compiled signs and walks against the geometry ----------------------------------
+
+
+def _geometric_gauss(d, comps):
+    """Gauss code read straight off the geometry: walk every cycle with
+    _component_walk and sign every crossing by the Fraction cross product
+    of the walked over and under directions."""
+    comps = sorted(comps, key=lambda c: (min(cycle_vertices(d.graph, c)), sorted(c)))
+    chosen = frozenset().union(*comps)
+    per_edge = {e: [] for e in d.edges}
+    for c in d.crossings:
+        per_edge[c.edge_a].append((c.param_a, c.cid, "a"))
+        per_edge[c.edge_b].append((c.param_b, c.cid, "b"))
+    walk_dirs, sequences = {}, []
+    for comp in comps:
+        seq = []
+        for eid, forward in _component_walk(d.graph, comp):
+            walk_dirs[eid] = 1 if forward else -1
+            for _, cid, side in sorted(per_edge[eid], reverse=not forward):
+                c = d.crossings[cid]
+                if (c.edge_b if side == "a" else c.edge_a) in chosen:
+                    seq.append((cid, side))
+        sequences.append(seq)
+    out = []
+    for seq in sequences:
+        passages = []
+        for cid, side in seq:
+            c = d.crossings[cid]
+            da = (c.dir_a[0] * walk_dirs[c.edge_a], c.dir_a[1] * walk_dirs[c.edge_a])
+            db = (c.dir_b[0] * walk_dirs[c.edge_b], c.dir_b[1] * walk_dirs[c.edge_b])
+            d_over, d_under = (da, db) if c.over == "a" else (db, da)
+            passages.append(Passage(cid, side == c.over, 1 if _cross(d_over, d_under) > 0 else -1))
+        out.append(tuple(passages))
+    return GaussLink(tuple(out))
+
+
+def _scope_items(g):
+    """Every cycle alone and every disjoint pair, in a fixed order."""
+    cycles = [[c] for c in sorted(all_cycles(g), key=sorted)]
+    pairs = sorted(disjoint_cycle_tuples(g, 2), key=lambda p: sorted(map(sorted, p)))
+    return cycles + [list(p) for p in pairs]
+
+
+@functools.cache
+def _projection(name):
+    d = d4_reference_diagram() if name == "D4ref" else build_convex_diagram(fixture(name), seed=0)
+    return d, _scope_items(d.graph)
+
+
+@st.composite
+def _trials(draw):
+    base, items = _projection(draw(st.sampled_from(["K6", "K7", "N9", "D4ref"])))
+    mask = draw(st.integers(0, (1 << base.crossing_count) - 1))
+    return base, mask, draw(st.sampled_from(items))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_trials())
+def test_compiled_gauss_matches_geometry(trial):
+    base, mask, item = trial
+    clone = assign_over_under(base, mask)
+    link = extract_gauss(clone, item)
+    assert link == _geometric_gauss(clone, item)
+    # a freshly built diagram starts with an empty memo, so a memo filled
+    # by earlier clones of base cannot hand this one their over/under state
+    assert link == extract_gauss(diagram_from_json(diagram_to_json(clone)), item)
+
+
+def test_pickled_half_filled_base_gives_identical_codes():
+    base = build_convex_diagram(fixture("K6"))
+    items = _scope_items(base.graph)
+    for item in items[::2]:
+        extract_gauss(assign_over_under(base, seed=1), item)
+    assert base._walks  # clones fill the memo of the projection they share
+    copy = pickle.loads(pickle.dumps(base))
+    for seed in (2, 3):
+        for item in items:
+            expected = _geometric_gauss(assign_over_under(base, seed=seed), item)
+            assert extract_gauss(assign_over_under(copy, seed=seed), item) == expected
+            assert extract_gauss(assign_over_under(base, seed=seed), item) == expected
