@@ -7,6 +7,22 @@ and parallel multiplicities enter the encoding exactly, so two graphs get
 equal certificates iff they are isomorphic as multigraphs.  Exponential in
 the worst case, which is fine at the sizes this library works at (<= 16
 vertices or so).
+
+The search is pruned by automorphisms (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014).  Two leaves with equal
+encodings differ by an automorphism, which the search records.  At each
+node it skips a vertex of the target cell when the recorded automorphisms
+that fix the node's individualized vertices map an already explored sibling
+onto it: that subtree is the image of the explored one and holds the same
+encodings.  A skipped leaf therefore always has an equal leaf earlier in
+depth-first order, so the first smallest leaf, which supplies both the
+certificate and the labeling witness, is the one the unpruned search picks.
+K7 takes 22 leaves instead of 5,040.  Leaves compare as ASCII bytes, as
+before: reading them as integers would order "1,10" after "1,2" and pick a
+different leaf on graphs with ten or more vertices.
+
+Certificate and labeling are cached together on the graph, so
+``is_isomorphic`` searches each graph once.
 """
 
 from __future__ import annotations
@@ -78,7 +94,8 @@ def _encode(g: MultiGraph, position: dict[int, int]) -> bytes:
     return f"{g.vertex_count}|{g.edge_count}|{body}".encode("ascii")
 
 
-def _search(g: MultiGraph, colors: dict[int, int], best: list):
+def _search(g: MultiGraph, colors: dict[int, int], prefix: tuple[int, ...],
+            best: list, autos: list) -> None:
     colors = _refine(g, colors)
     cells = _cells(g, colors)
     target = next((c for c in cells if len(c) > 1), None)
@@ -90,12 +107,42 @@ def _search(g: MultiGraph, colors: dict[int, int], best: list):
         if best[0] is None or blob < best[0]:
             best[0] = blob
             best[1] = position
+        elif blob == best[0]:
+            # two leaves encode alike: their labelings differ by an automorphism
+            at = {i: v for v, i in best[1].items()}
+            autos.append({v: at[i] for v, i in position.items()})
         return
     n_colors = max(colors.values()) + 1
+    explored: list[int] = []
     for v in target:
+        if explored and _in_explored_orbit(v, explored, target, prefix, autos):
+            continue
         branched = dict(colors)
         branched[v] = n_colors  # individualize, then refine again
-        _search(g, branched, best)
+        _search(g, branched, prefix + (v,), best, autos)
+        explored.append(v)
+
+
+def _in_explored_orbit(v: int, explored: list[int], target: list[int],
+                       prefix: tuple[int, ...], autos: list) -> bool:
+    """Whether v shares an orbit with an explored sibling under the
+    automorphisms found so far that fix the individualized prefix."""
+    root = {x: x for x in target}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for gamma in autos:
+        if all(gamma[p] == p for p in prefix):
+            for x in target:  # a prefix-fixing automorphism keeps the cell
+                a, b = find(x), find(gamma[x])
+                if a != b:
+                    root[a] = b
+    mine = find(v)
+    return any(find(w) == mine for w in explored)
 
 
 def _canonical(g: MultiGraph) -> tuple[bytes, dict[int, int]]:
@@ -103,25 +150,27 @@ def _canonical(g: MultiGraph) -> tuple[bytes, dict[int, int]]:
         return b"0|0|", {}
     init = {v: 0 for v in g.vertices}
     best: list = [None, None]
-    _search(g, init, best)
+    _search(g, init, (), best, [])
     return best[0], best[1]
 
 
+def _cached(g: MultiGraph) -> Certificate:
+    """Run the search once per graph; keep certificate and labeling."""
+    if g._cert_cache is None:
+        blob, position = _canonical(g)
+        g._cert_cache = Certificate(blob)
+        g._labeling_cache = tuple(position[v] for v in g.vertices)
+    return g._cert_cache
+
+
 def canonical_form(g: MultiGraph) -> Certificate:
-    cached = g._cert_cache
-    if cached is None:
-        blob, _ = _canonical(g)
-        cached = Certificate(blob)
-        g._cert_cache = cached
-    return cached
+    return _cached(g)
 
 
 def canonical_labeling(g: MultiGraph) -> dict[int, int]:
     """Vertex -> position in the canonical ordering (one witness of it)."""
-    blob, position = _canonical(g)
-    if g._cert_cache is None:
-        g._cert_cache = Certificate(blob)
-    return position
+    _cached(g)
+    return dict(zip(g.vertices, g._labeling_cache))
 
 
 def is_isomorphic(g: MultiGraph, h: MultiGraph) -> Optional[dict[int, int]]:

@@ -12,6 +12,7 @@ an identification.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,27 +149,37 @@ def fixture_names() -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def petersen_family() -> ClosureResult:
     seed = fixture("K6")
-    result = closure(seed)
-    annotate_flags(result, seed)
-    _name_petersen(result)
-    return result
+    result = annotate_flags(closure(seed), seed)
+    return _named(result, _petersen_names(result))
 
 
 @lru_cache(maxsize=None)
 def heawood_family() -> ClosureResult:
     seed = fixture("K7")
-    result = closure(seed)
-    annotate_flags(result, seed)
-    _name_heawood(result)
-    return result
+    result = annotate_flags(closure(seed), seed)
+    return _named(result, _heawood_names(result))
 
 
 @lru_cache(maxsize=None)
 def k3311_family() -> ClosureResult:
     seed = fixture("K3311")
-    result = closure(seed)
-    annotate_flags(result, seed)
-    return result
+    return annotate_flags(closure(seed), seed)
+
+
+# certificate hex -> (name, heuristic_name)
+_Names = dict[str, tuple[str, bool]]
+
+
+def _named(result: ClosureResult, names: _Names) -> ClosureResult:
+    """The cached families are shared, so their records are built named and
+    frozen rather than renamed in place."""
+    records = []
+    for rec in result.records:
+        if rec.certificate.hex in names:
+            name, heuristic = names[rec.certificate.hex]
+            rec = replace(rec, name=name, heuristic_name=heuristic)
+        records.append(rec)
+    return replace(result, records=tuple(records))
 
 
 def _by_count(result: ClosureResult):
@@ -179,16 +190,17 @@ def _by_count(result: ClosureResult):
         recs.sort(key=lambda r: (tuple(-d for d in r.degree_sequence), r.certificate.hex))
     return groups
 
-def _pin(result: ClosureResult, graph: MultiGraph, name: str):
+def _pin(result: ClosureResult, graph: MultiGraph, name: str, names: _Names):
     rec = result.by_certificate().get(canonical_form(graph).hex)
     if rec is None:
         raise GraphError(f"{name} is not in the family")
-    rec.name = name
+    names[rec.certificate.hex] = (name, False)
     return rec
 
 
-def _name_petersen(result: ClosureResult) -> None:
-    _pin(result, fixture("K6"), "K6")
+def _petersen_names(result: ClosureResult) -> _Names:
+    names: _Names = {}
+    _pin(result, fixture("K6"), "K6", names)
     groups = _by_count(result)
     for rec in groups[7]:
         # P7 is the seven-vertex class with a dominating vertex (it is the
@@ -196,21 +208,25 @@ def _name_petersen(result: ClosureResult) -> None:
         # scripts); the exchange child of the seed has no degree-6 vertex
         # and carries an invented label, hence the heuristic flag
         if max(rec.degree_sequence) == 6:
-            rec.name = "P7"
+            names[rec.certificate.hex] = ("P7", False)
         else:
-            rec.name = "Y7"
-            rec.heuristic_name = True
+            names[rec.certificate.hex] = ("Y7", True)
     for rec in groups[8]:
-        rec.name = "K44me" if _is_bipartite(rec.graph) else "P8"
-    groups[9][0].name = "P9"
-    groups[10][0].name = "P10"
+        names[rec.certificate.hex] = ("K44me" if _is_bipartite(rec.graph) else "P8", False)
+    names[groups[9][0].certificate.hex] = ("P9", False)
+    names[groups[10][0].certificate.hex] = ("P10", False)
+    return names
 
 
-def _name_heawood(result: ClosureResult) -> None:
-    _pin(result, fixture("K7"), "K7")
-    c14 = _pin(result, fixture("HeawoodRef"), "C14")
-    n9 = _pin(result, fixture("N9"), "N9")
-    np10 = _pin(result, fixture("N'10"), "N'10")
+def _heawood_names(result: ClosureResult) -> _Names:
+    names: _Names = {}
+    _pin(result, fixture("K7"), "K7", names)
+    _pin(result, fixture("HeawoodRef"), "C14", names)
+    n9 = _pin(result, fixture("N9"), "N9", names)
+    np10 = _pin(result, fixture("N'10"), "N'10", names)
+
+    def unnamed(rec) -> bool:
+        return rec.certificate.hex not in names
 
     non_ik = [r for r in result.records if not r.dy_only_reachable]
 
@@ -221,20 +237,20 @@ def _name_heawood(result: ClosureResult) -> None:
     # from the ten-vertex fixture; the eleven-vertex child of the primed
     # branch is unique, which pins both names
     n9_kids = dy_children(n9.graph)
-    tens = [r for r in non_ik if r.vertex_count == 10 and r.name is None]
+    tens = [r for r in non_ik if r.vertex_count == 10 and unnamed(r)]
     if len(tens) != 1 or tens[0].certificate.hex not in n9_kids:
         raise GraphError("ten-vertex non-reachable member structure unexpected")
-    tens[0].name = "N10"
+    names[tens[0].certificate.hex] = ("N10", False)
     np10_kids = dy_children(np10.graph)
     elevens = [r for r in non_ik if r.vertex_count == 11]
     primed = [r for r in elevens if r.certificate.hex in np10_kids]
     if len(primed) != 1 or len(elevens) != 2:
         raise GraphError("eleven-vertex non-reachable member structure unexpected")
-    primed[0].name = "N'11"
-    next(r for r in elevens if r.name is None).name = "N11"
+    names[primed[0].certificate.hex] = ("N'11", False)
+    names[next(r for r in elevens if unnamed(r)).certificate.hex] = ("N11", False)
     for rec in non_ik:
         if rec.vertex_count == 12:
-            rec.name = "N'12"
+            names[rec.certificate.hex] = ("N'12", False)
 
     letters = {
         8: ["H8"],
@@ -245,17 +261,17 @@ def _name_heawood(result: ClosureResult) -> None:
         13: ["C13"],
     }
     groups = _by_count(result)
-    for count, names in letters.items():
-        unnamed = [r for r in groups.get(count, ()) if r.name is None]
-        if len(unnamed) != len(names):
+    for count, letter_names in letters.items():
+        todo = [r for r in groups.get(count, ()) if unnamed(r)]
+        if len(todo) != len(letter_names):
             raise GraphError(
-                f"expected {len(names)} unnamed members on {count} vertices,"
-                f" found {len(unnamed)}"
+                f"expected {len(letter_names)} unnamed members on {count} vertices,"
+                f" found {len(todo)}"
             )
-        ambiguous = len(names) > 1
-        for rec, name in zip(unnamed, names):
-            rec.name = name
-            rec.heuristic_name = ambiguous
+        ambiguous = len(letter_names) > 1
+        for rec, name in zip(todo, letter_names):
+            names[rec.certificate.hex] = (name, ambiguous)
+    return names
 
 
 def _is_bipartite(g: MultiGraph) -> bool:

@@ -151,8 +151,7 @@ def cmd_families(args) -> int:
         }[args.seed]()
     else:
         seed_graph = _load_graph(args.seed)
-        result = closure(seed_graph, moves=moves)
-        annotate_flags(result, seed_graph)
+        result = annotate_flags(closure(seed_graph, moves=moves), seed_graph)
     members = [
         {
             "name": rec.name,

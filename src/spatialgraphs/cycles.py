@@ -20,6 +20,7 @@ Beyond plain enumeration this module implements
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, UnknownEdgeError, GraphError
@@ -434,6 +435,12 @@ class PhiResult:
     max_fiber: int
 
 
+@lru_cache(maxsize=8)
+def _phi_domain_tuples(g: MultiGraph, n: int) -> frozenset[CycleTuple]:
+    # one graph's triangles share a domain; the frozenset is immutable
+    return disjoint_cycle_tuples(g, n)
+
+
 def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
     """Cycle correspondence along one triangle-to-star exchange.
 
@@ -460,7 +467,7 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
         domain = [frozenset([c]) for c in all_cycles(g)]
         codomain = {frozenset([c]) for c in all_cycles(gy)}
     else:
-        domain = sorted(disjoint_cycle_tuples(g, n), key=lambda t: sorted(map(sorted, t)))
+        domain = sorted(_phi_domain_tuples(g, n), key=lambda t: sorted(map(sorted, t)))
         codomain = set(disjoint_cycle_tuples(gy, n))
 
     tri_set = frozenset(tri_eids)

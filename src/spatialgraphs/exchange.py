@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -119,7 +119,7 @@ class Move:
     site: tuple[int, ...]  # triangle corners, or the degree-3 vertex
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyRecord:
     certificate: Certificate
     graph: MultiGraph
@@ -149,12 +149,12 @@ class Transition:
     target: Certificate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureResult:
     seed_certificate: Certificate
     moves: tuple[str, ...]
     collapse: str
-    records: list[FamilyRecord]
+    records: tuple[FamilyRecord, ...]
     transitions: tuple[Transition, ...]
 
     def by_certificate(self) -> dict[str, FamilyRecord]:
@@ -216,9 +216,9 @@ def closure(
                 known[cert.blob] = child_rec
                 queue.append(child_rec)
 
-    records = sorted(
+    records = tuple(sorted(
         known.values(), key=lambda r: (r.vertex_count, r.certificate.blob)
-    )
+    ))
     return ClosureResult(seed_cert, move_set, collapse, records, tuple(transitions))
 
 
@@ -235,12 +235,19 @@ def replay_provenance(seed: MultiGraph, provenance: Iterable[Move]) -> MultiGrap
     return g
 
 
-def annotate_flags(result: ClosureResult, seed: MultiGraph) -> None:
-    """Fill in gamma3_empty and reachability-under-dy-only for each record."""
+def annotate_flags(result: ClosureResult, seed: MultiGraph) -> ClosureResult:
+    """A copy of the result with gamma3_empty and reachability-under-dy-only
+    filled in for each record."""
     dy_certs = closure(seed, moves=("dy",)).certificates()
-    for rec in result.records:
-        rec.dy_only_reachable = rec.certificate.hex in dy_certs
-        rec.gamma3_empty = gamma3_empty(rec.graph)
+    records = tuple(
+        replace(
+            rec,
+            dy_only_reachable=rec.certificate.hex in dy_certs,
+            gamma3_empty=gamma3_empty(rec.graph),
+        )
+        for rec in result.records
+    )
+    return replace(result, records=records)
 
 
 # -- manifest ----------------------------------------------------------------

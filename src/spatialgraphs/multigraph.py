@@ -43,7 +43,8 @@ class MultiGraph:
     when ids do not matter.  All mutating operations return new graphs.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_cert_cache")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_ends", "_between",
+                 "_cert_cache", "_labeling_cache")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple]):
         vs = tuple(sorted({int(v) for v in vertices}))
@@ -71,7 +72,13 @@ class MultiGraph:
                 inc[u].append((eid, v))
                 inc[v].append((eid, u))
         self._incidence = {v: tuple(sorted(pairs)) for v, pairs in inc.items()}
+        self._ends = {eid: (u, v) for eid, u, v in triples}
+        between: dict[tuple[int, int], list[int]] = {}
+        for eid, u, v in triples:
+            between.setdefault((u, v), []).append(eid)
+        self._between = {pair: tuple(ids) for pair, ids in between.items()}
         self._cert_cache = None
+        self._labeling_cache = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -98,10 +105,10 @@ class MultiGraph:
         return v in self._incidence
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        for e, u, v in self._edges:
-            if e == eid:
-                return (u, v)
-        raise UnknownEdgeError(f"no edge with id {eid}")
+        try:
+            return self._ends[eid]
+        except KeyError:
+            raise UnknownEdgeError(f"no edge with id {eid}") from None
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge id, other endpoint) pairs at v; a loop appears once with other == v."""
@@ -123,16 +130,13 @@ class MultiGraph:
     def edges_between(self, u: int, v: int) -> tuple[int, ...]:
         if u > v:
             u, v = v, u
-        return tuple(eid for eid, a, b in self._edges if a == u and b == v)
+        return self._between.get((u, v), ())
 
     def has_edge_between(self, u: int, v: int) -> bool:
         return bool(self.edges_between(u, v))
 
     def parallel_classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for eid, u, v in self._edges:
-            out.setdefault((u, v), []).append(eid)
-        return {k: tuple(ids) for k, ids in out.items()}
+        return dict(self._between)
 
     def is_simple(self) -> bool:
         return all(u != v for _, u, v in self._edges) and all(
@@ -195,7 +199,7 @@ def complete_graph(n: int, labels: Optional[Iterable[int]] = None) -> MultiGraph
 
 
 def delete_edge(g: MultiGraph, eid: int) -> MultiGraph:
-    if eid not in set(g.edge_ids()):
+    if eid not in g._ends:
         raise UnknownEdgeError(f"no edge with id {eid}")
     return MultiGraph(g.vertices, [e for e in g.edges if e[0] != eid])
 

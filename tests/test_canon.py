@@ -1,13 +1,27 @@
 """Canonical forms and isomorphism checking."""
 
+import hashlib
+import json
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spatialgraphs import canon
 from spatialgraphs.canon import (
     canonical_form,
     canonical_labeling,
     degree_sequence,
     is_isomorphic,
 )
-from spatialgraphs.catalog import petersen_family
-from spatialgraphs.multigraph import complete_graph, from_pairs
+from spatialgraphs.catalog import (
+    fixture,
+    fixture_names,
+    heawood_family,
+    k3311_family,
+    petersen_family,
+)
+from spatialgraphs.multigraph import MultiGraph, complete_graph, from_pairs
 
 
 def cycle_graph(labels):
@@ -61,3 +75,191 @@ def test_family_certificates_pairwise_distinct(petersen):
 def test_degree_sequence_descending():
     g = from_pairs([(1, 2), (2, 3), (2, 4)])
     assert degree_sequence(g) == (3, 1, 1, 1)
+
+
+# -- automorphism pruning ----------------------------------------------------
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _unpruned_canonical(g, budget=5000):
+    """The search before automorphism pruning: one leaf per automorphism,
+    first smallest leaf in depth-first order wins."""
+    if g.vertex_count == 0:
+        return b"0|0|", {}
+    best = [None, None]
+    leaves = [0]
+
+    def search(colors):
+        colors = canon._refine(g, colors)
+        cells = canon._cells(g, colors)
+        target = next((c for c in cells if len(c) > 1), None)
+        if target is None:
+            leaves[0] += 1
+            if leaves[0] > budget:
+                raise _OverBudget
+            position = {cell[0]: i for i, cell in enumerate(cells)}
+            blob = canon._encode(g, position)
+            if best[0] is None or blob < best[0]:
+                best[0], best[1] = blob, position
+            return
+        n_colors = max(colors.values()) + 1
+        for v in target:
+            branched = dict(colors)
+            branched[v] = n_colors
+            search(branched)
+
+    search({v: 0 for v in g.vertices})
+    return best[0], best[1]
+
+
+@st.composite
+def random_multigraphs(draw, max_vertices=9):
+    """Loops, parallel edges and isolated vertices all occur."""
+    n = draw(st.integers(0, max_vertices))
+    labels = draw(st.lists(st.integers(-3, 30), min_size=n, max_size=n, unique=True))
+    if not labels:
+        return MultiGraph((), ())
+    ends = st.sampled_from(labels)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return from_pairs(pairs, vertices=labels)
+
+
+@st.composite
+def symmetric_multigraphs(draw):
+    """Circulants, blow-ups of a small multigraph (K3311 is one), and copies
+    of a small multigraph joined in a ring: several orbits per cell, where
+    pruning does its work."""
+    kind = draw(st.sampled_from(["circulant", "blow-up", "ring"]))
+    if kind == "circulant":
+        n = draw(st.integers(3, 9))
+        steps = draw(st.lists(st.integers(0, n // 2), min_size=1, max_size=3))
+        return from_pairs([(i, (i + d) % n) for i in range(n) for d in steps], vertices=range(n))
+    if kind == "blow-up":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 9))
+        parts = [range(sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))]
+        ends = st.integers(0, len(sizes) - 1)
+        joins = draw(st.lists(st.tuples(ends, ends), max_size=6))
+        pairs = [(u, v) for i, j in joins for u in parts[i] for v in parts[j] if i != j or u < v]
+        return from_pairs(pairs, vertices=range(sum(sizes)))
+    size = draw(st.integers(1, 3))
+    copies = draw(st.integers(2, 9 // size))
+    ends = st.integers(0, size - 1)
+    piece = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    ring = draw(st.lists(st.tuples(ends, ends), max_size=2))
+    pairs = [(c * size + a, c * size + b) for c in range(copies) for a, b in piece]
+    pairs += [(c * size + a, (c + 1) % copies * size + b) for c in range(copies) for a, b in ring]
+    return from_pairs(pairs, vertices=range(size * copies))
+
+
+multigraphs = st.one_of(random_multigraphs(), symmetric_multigraphs())
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs)
+def test_pruned_search_matches_unpruned(g):
+    try:
+        expected = _unpruned_canonical(g)
+    except _OverBudget:
+        assume(False)  # the oracle is too slow here, not the pruned search
+    assert canon._canonical(g) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs, st.randoms(use_true_random=False))
+def test_certificate_invariant_under_relabeling(g, rnd):
+    new_labels = rnd.sample(range(100, 200), g.vertex_count)
+    vmap = dict(zip(g.vertices, new_labels))
+    new_ids = rnd.sample(range(500, 600), g.edge_count)
+    h = MultiGraph(new_labels, [(i, vmap[u], vmap[v]) for i, (_, u, v) in zip(new_ids, g.edges)])
+    assert canonical_form(g) == canonical_form(h)
+    assert is_isomorphic(g, h) is not None  # checks its witness edge by edge
+
+
+def _four_triangles():
+    return from_pairs([(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (1, 2), (0, 2))])
+
+
+@pytest.mark.parametrize(
+    "build, leaves",
+    [
+        (lambda: complete_graph(7), 22),  # 5,040 leaves unpruned
+        (lambda: complete_graph(6), 16),  # 720
+        (_four_triangles, 19),  # 31,104
+    ],
+)
+def test_leaf_counts(monkeypatch, build, leaves):
+    count = [0]
+    encode = canon._encode
+
+    def counting(g, position):
+        count[0] += 1
+        return encode(g, position)
+
+    monkeypatch.setattr(canon, "_encode", counting)
+    canonical_form(build())
+    assert count[0] == leaves <= 64
+
+
+def test_isomorphism_runs_one_search_per_graph(monkeypatch):
+    calls = []
+    search = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda g: calls.append(g) or search(g))
+    g, h = complete_graph(5), complete_graph(5, labels=range(10, 15))
+    assert is_isomorphic(g, h) is not None
+    assert is_isomorphic(g, h) is not None
+    assert len(calls) == 2
+
+
+def test_labeling_is_a_fresh_dict():
+    g = complete_graph(4)
+    first = canonical_labeling(g)
+    first[1] = 99
+    assert canonical_labeling(g)[1] != 99
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# recorded with the unpruned search; pruning must not move a byte
+FAMILY_CERTIFICATES = {
+    "K6": "d75ddb263ba809088556fc63b41bf383666b3e6d4269ec71097bcb539e8b87be",
+    "K7": "39b67566d06b67a7a76699e6f4e71273860708bbe71e0961d9fb05258b5990b1",
+    "K3311": "4757b26e27b09a75a75856b543c324dbc3da7a5e688cd5f878f133d2527eb60a",
+}
+FAMILY_LABELINGS = {
+    "K6": "8f10ba9986d85149b0044c5ef2e7ce8705799c94e990697467184439cf47b6e0",
+    "K7": "e40d79857f5b687106c79dde7dc4209d20dd774244b3134c453a364099bfdff1",
+    "K3311": "4f9d971eb531c3bcf431eb6f807a8114c8ec9568847d8d72ede89c2d236c6390",
+}
+FIXTURE_LABELINGS = {
+    "D4": "ca14d2f9e4ee4a73d15289cc46643e3c2d3297620b8903ef0f4358589a631669",
+    "HeawoodRef": "21a4e3e98613408e224ebba795e86646d1047460f5000bb3fea675c2c24cc035",
+    "K3311": "648f132725d93fa93722e3c315533eaf1e672478c128963d98b9d5285c34a378",
+    "K6": "f5413b67eba1a313459efc202329e5a3ffd772b90dfc0e3f5a7ac215d81cbc73",
+    "K7": "59b353330e031fe9d996efbba67afd722a99fd458ac86896078020cc8c166508",
+    "N'10": "a72270b4baf395a0c1f0ccf44fe754973d3bae2333a4c61582eb75f6bdae706f",
+    "N9": "8fd302199aab2680e5cee663b1f8bc54989f0af1165c43a283147385965f62cb",
+    "PetersenRef": "63f346d7152d2e5afa5fc7ffd496f3bed0e3f93e14fc24a490cbb1a41f5f3010",
+}
+
+
+@pytest.mark.parametrize("seed, family", [
+    ("K6", petersen_family), ("K7", heawood_family), ("K3311", k3311_family),
+])
+def test_family_certificates_and_labelings_pinned(seed, family):
+    records = family().records
+    certs = "\n".join(r.certificate.hex for r in records)
+    assert hashlib.sha256(certs.encode()).hexdigest() == FAMILY_CERTIFICATES[seed]
+    labelings = [sorted(canonical_labeling(r.graph).items()) for r in records]
+    assert _sha(labelings) == FAMILY_LABELINGS[seed]
+
+
+def test_fixture_labelings_pinned():
+    graphs = [n for n in fixture_names() if isinstance(fixture(n), MultiGraph)]
+    assert sorted(graphs) == sorted(FIXTURE_LABELINGS)
+    for name in graphs:
+        assert _sha(sorted(canonical_labeling(fixture(name)).items())) == FIXTURE_LABELINGS[name]

@@ -127,3 +127,15 @@ def test_k3311_family_counts():
 def test_family_member_unknown_name():
     with pytest.raises(GraphError, match="no family member"):
         family_member("Z9")
+
+
+def test_cached_family_records_are_frozen():
+    import dataclasses
+
+    fam = heawood_family()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.records[0].name = "X"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.records = ()
+    assert heawood_family().records == fam.records
+    assert [r.name for r in fam.records][:3] == ["K7", "H8", "H9"]
