@@ -11,7 +11,7 @@ from spatialgraphs.catalog import heawood_family, petersen_family
 
 # the closure of K6: seven classes, all with 15 edges
 pet = petersen_family()
-print(f"seed K6 -> {len(pet.records)} classes (collapse={pet.collapse})")
+print(f"seed K6 -> {len(pet.records)} classes")
 for rec in sorted(pet.records, key=lambda r: (r.graph.vertex_count, r.name)):
     path = " ".join(m.kind for m in rec.provenance) or "(seed)"
     star = "*" if rec.heuristic_name else " "

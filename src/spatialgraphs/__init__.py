@@ -50,7 +50,6 @@ from .invariants import (
     format_gauss,
     gauss_link,
     linking_number,
-    parity_census,
     parse_gauss,
     poly_str,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Callable, Optional
 
@@ -46,9 +47,9 @@ from .invariants import (
     lk_census,
     a2_census,
 )
-from .minors import one_step_reductions, verify_minor_script
+from .minors import verify_minor_script
 from .multigraph import GraphError
-from .planarity import is_k_apex
+from .planarity import all_proper_minors_2apex, is_k_apex
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -125,15 +126,12 @@ def _assignment(run: TrialRun, i: int) -> tuple[int, SpatialDiagram]:
 
 
 def _disjoint_pairs(g) -> tuple:
-    return tuple(sorted(disjoint_cycle_tuples(g, 2), key=lambda p: sorted(sorted(c) for c in p)))
+    pairs = (tuple(sorted(p, key=sorted)) for p in disjoint_cycle_tuples(g, 2))
+    return tuple(sorted(pairs, key=lambda p: [sorted(c) for c in p]))
 
 
 def _seven_cycles(g) -> tuple:
     return tuple(sorted((c for c in all_cycles(g) if len(c) == 7), key=sorted))
-
-
-def _bigon_pairs(g) -> tuple:
-    return tuple(tuple(sorted(p, key=sorted)) for p in _disjoint_pairs(g))
 
 
 def _cycles_and_triples(g) -> tuple:
@@ -142,14 +140,9 @@ def _cycles_and_triples(g) -> tuple:
     return cycles, triples
 
 
-def _lk_parity_trial(run: TrialRun, i: int) -> dict:
-    census = lk_census(_assignment(run, i)[1], run.scope)
-    return {"trial": i, "parity": census.parity, "odd_witnesses": len(census.odd)}
-
-
-def _a2_parity_trial(run: TrialRun, i: int) -> dict:
-    census = a2_census(_assignment(run, i)[1], run.scope)
-    return {"trial": i, "parity": census.parity, "odd_witnesses": len(census.odd)}
+def _parity_trial(census: Callable, run: TrialRun, i: int) -> dict:
+    result = census(_assignment(run, i)[1], run.scope)
+    return {"trial": i, "parity": result.parity, "odd_witnesses": len(result.odd)}
 
 
 def _odd_pair_trial(run: TrialRun, i: int) -> dict:
@@ -164,7 +157,7 @@ def _odd_pair_trial(run: TrialRun, i: int) -> dict:
 
 def _d4_trial(run: TrialRun, i: int) -> Optional[dict]:
     label, d = _assignment(run, i)
-    lks = [linking_number(extract_gauss(d, [a, b])) for a, b in run.scope]
+    lks = list(lk_census(d, run.scope).values)
     if not all(v % 2 for v in lks):
         return None
     return {"assignment": label, "lk": lks, "alpha": alpha(d)}
@@ -185,15 +178,15 @@ def _dichotomy_trial(run: TrialRun, i: int) -> dict:
 
 CHECKS: dict[str, Check] = {
     "cg-k6": Check(
-        _disjoint_pairs, _lk_parity_trial, lambda r: r["parity"] == 1, 100,
+        _disjoint_pairs, partial(_parity_trial, lk_census), lambda r: r["parity"] == 1, 100,
         "all_odd_parity", ("K6",),
     ),
     "cg-k7": Check(
-        _seven_cycles, _a2_parity_trial, lambda r: r["parity"] == 1, 100,
+        _seven_cycles, partial(_parity_trial, a2_census), lambda r: r["parity"] == 1, 100,
         "all_odd_parity", ("K7",),
     ),
     "d4-lemma": Check(
-        _bigon_pairs, _d4_trial, lambda r: r["alpha"] == 1, 100,
+        _disjoint_pairs, _d4_trial, lambda r: r["alpha"] == 1, 100,
         "all_alpha_one", ("D4",), lambda g, seed: d4_reference_diagram(),
     ),
     "n9fn": Check(
@@ -364,10 +357,7 @@ def claim_apex_proper_minors(trials, seed, jobs):
     ok = True
     for r in sorted(fam.records, key=lambda r: (r.vertex_count, r.name or "")):
         member_apex = is_k_apex(r.graph, 2)
-        bad = []
-        for label, h in one_step_reductions(r.graph):
-            if not is_k_apex(h, 2):
-                bad.append(label)
+        _, bad = all_proper_minors_2apex(r.graph)
         rows.append(
             {
                 "name": r.name,
@@ -493,7 +483,7 @@ def _d4_host_trial(ctx, i: int) -> Optional[int]:
     rng.shuffle(order)
     base = build_convex_diagram(host, order=order, seed=rng.randrange(1 << 30))
     d = assign_over_under(base, seed=rng.randrange(1 << 30))
-    lks = [linking_number(extract_gauss(d, [a, b])) for a, b in lifted]
+    lks = lk_census(d, lifted).values
     return alpha(d, model) if all(v % 2 for v in lks) else None
 
 

@@ -7,6 +7,8 @@ contractions of other edges.
 
 Beyond plain enumeration this module implements
 
+* ``cycle_walk``: the one walk around a cycle, shared by cycle formatting,
+  cycle lifting and Gauss code extraction,
 * ``disjoint_cycle_tuples``: unordered n-tuples of pairwise vertex-disjoint
   cycles,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
@@ -19,9 +21,9 @@ Beyond plain enumeration this module implements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from .multigraph import MultiGraph, UnknownEdgeError, GraphError
 
@@ -108,43 +110,37 @@ def is_cycle(g: MultiGraph, edge_ids: Iterable[int]) -> bool:
     return len(seen) == len(verts)
 
 
-def cycle_order(g: MultiGraph, cycle: Cycle) -> list[int]:
-    """Vertex order around the cycle, starting at the smallest vertex and
-    moving toward its smaller-labelled side (loops give a single vertex)."""
+def cycle_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, int]]:
+    """(vertex, outgoing edge id) steps around a cycle.
+
+    The walk starts at the smallest vertex and heads toward its smaller
+    neighbour; a doubled edge goes out along its smaller id, and a loop is
+    a single step.
+    """
     ids = sorted(cycle)
-    if len(ids) == 1:
-        u, v = g.endpoints(ids[0])
-        if u != v:
-            raise GraphError("single non-loop edge is not a cycle")
-        return [u]
-    if len(ids) == 2:
-        u, v = g.endpoints(ids[0])
-        return sorted((u, v))
     incid: dict[int, list[tuple[int, int]]] = {}
     for eid in ids:
         u, v = g.endpoints(eid)
         incid.setdefault(u, []).append((eid, v))
-        incid.setdefault(v, []).append((eid, u))
+        if u != v:
+            incid.setdefault(v, []).append((eid, u))
     start = min(incid)
-    nexts = sorted(w for _, w in incid[start])
-    order = [start]
-    prev_edge = None
-    here = start
-    target = nexts[0]
-    # choose the incident edge leading to the smaller neighbor
-    for eid, w in sorted(incid[start]):
-        if w == target:
-            prev_edge = eid
-            break
-    here = target
+    eid, here = min(incid[start], key=lambda step: (step[1], step[0]))
+    walk = [(start, eid)]
     while here != start:
-        order.append(here)
-        for eid, w in sorted(incid[here]):
-            if eid != prev_edge:
-                prev_edge = eid
-                here = w
-                break
-    return order
+        step = next(((e, w) for e, w in incid[here] if e != eid), None)
+        if step is None or len(walk) == len(ids):
+            break
+        walk.append((here, step[0]))
+        eid, here = step
+    if here != start or len(walk) != len(ids):
+        raise GraphError("edge set is not a cycle")
+    return walk
+
+
+def cycle_order(g: MultiGraph, cycle: Cycle) -> list[int]:
+    """Vertex order around the cycle, as walked by ``cycle_walk``."""
+    return [v for v, _ in cycle_walk(g, cycle)]
 
 
 def format_cycle(g: MultiGraph, cycle: Cycle) -> str:
@@ -191,32 +187,6 @@ def _support_masks(g: MultiGraph, cycles: list[Cycle]) -> list[int]:
     return masks
 
 
-def disjoint_cycle_tuples(g: MultiGraph, n: int) -> frozenset[CycleTuple]:
-    """Unordered n-sets of pairwise vertex-disjoint cycles of g."""
-    if n < 1:
-        raise GraphError("n must be >= 1")
-    cycles = sorted(all_cycles(g), key=sorted)
-    if n == 1:
-        return frozenset(frozenset([c]) for c in cycles)
-    masks = _support_masks(g, cycles)
-    out: set[CycleTuple] = set()
-    chosen: list[int] = []
-
-    def grow(start: int, used: int, depth: int):
-        if depth == n:
-            out.add(frozenset(cycles[i] for i in chosen))
-            return
-        for i in range(start, len(cycles)):
-            if masks[i] & used:
-                continue
-            chosen.append(i)
-            grow(i + 1, used | masks[i], depth + 1)
-            chosen.pop()
-
-    grow(0, 0, 0)
-    return frozenset(out)
-
-
 def _min_cycle_support(g: MultiGraph) -> int:
     # 1 with a loop present, 2 with a parallel pair, else 3
     if any(u == v for _, u, v in g.edges):
@@ -226,26 +196,38 @@ def _min_cycle_support(g: MultiGraph) -> int:
     return 3
 
 
-def has_disjoint_cycles(g: MultiGraph, n: int) -> bool:
-    """Short-circuiting version of ``disjoint_cycle_tuples(g, n) != {}``."""
+def _disjoint_cycle_search(g: MultiGraph, n: int) -> Iterator[CycleTuple]:
+    """Each unordered n-set of pairwise vertex-disjoint cycles of g, once."""
+    if n < 1:
+        raise GraphError("n must be >= 1")
     if g.vertex_count < n * _min_cycle_support(g):
-        return False
+        return
     cycles = sorted(all_cycles(g), key=sorted)
-    if len(cycles) < n:
-        return False
     masks = _support_masks(g, cycles)
+    chosen: list[int] = []
 
-    def grow(start: int, used: int, depth: int) -> bool:
-        if depth == n:
-            return True
+    def grow(start: int, used: int) -> Iterator[CycleTuple]:
+        if len(chosen) == n:
+            yield frozenset(cycles[i] for i in chosen)
+            return
         for i in range(start, len(cycles)):
             if masks[i] & used:
                 continue
-            if grow(i + 1, used | masks[i], depth + 1):
-                return True
-        return False
+            chosen.append(i)
+            yield from grow(i + 1, used | masks[i])
+            chosen.pop()
 
-    return grow(0, 0, 0)
+    yield from grow(0, 0)
+
+
+def disjoint_cycle_tuples(g: MultiGraph, n: int) -> frozenset[CycleTuple]:
+    """Unordered n-sets of pairwise vertex-disjoint cycles of g."""
+    return frozenset(_disjoint_cycle_search(g, n))
+
+
+def has_disjoint_cycles(g: MultiGraph, n: int) -> bool:
+    """Short-circuiting version of ``disjoint_cycle_tuples(g, n) != {}``."""
+    return next(_disjoint_cycle_search(g, n), None) is not None
 
 
 def gamma3_empty(g: MultiGraph) -> bool:
@@ -365,9 +347,8 @@ def _branch_path(g: MultiGraph, inside: frozenset[int], a: int, b: int) -> list[
 def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
     """Image of one pattern cycle in the host graph."""
     pat, host = model.pattern, model.host
-    ids = sorted(pattern_cycle)
-    if len(ids) == 1:
-        (peid,) = ids
+    if len(pattern_cycle) == 1:
+        (peid,) = pattern_cycle
         u, v = pat.endpoints(peid)
         if u != v:
             raise GraphError("single edge cycle must be a loop")
@@ -376,32 +357,18 @@ def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
         inner = _branch_path(host, model.branch_sets[u], hu, hv)
         return frozenset([heid, *inner])
 
-    order = cycle_order(pat, pattern_cycle)
-    if len(ids) == 2:
-        order = [order[0], order[1]]
-    # walk pattern edges in cyclic order, matching edge ids to vertex steps
-    remaining = set(ids)
-    step_edges: list[int] = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        key = (a, b) if a <= b else (b, a)
-        cands = [e for e in remaining if tuple(sorted(pat.endpoints(e))) == key]
-        step_edges.append(min(cands))
-        remaining.discard(min(cands))
-
+    walk = cycle_walk(pat, pattern_cycle)
     out: set[int] = set()
-    k = len(order)
-    for i, pv in enumerate(order):
-        e_in = step_edges[(i - 1) % k]
-        e_out = step_edges[i]
+    for i, (pv, e_out) in enumerate(walk):
         bs = model.branch_sets[pv]
-        h_in = model.edge_map[e_in]
+        h_in = model.edge_map[walk[i - 1][1]]
         h_out = model.edge_map[e_out]
-        a_in = next(x for x in model.host.endpoints(h_in) if x in bs)
-        a_out = next(x for x in model.host.endpoints(h_out) if x in bs)
-        out.update(_branch_path(model.host, bs, a_in, a_out))
+        a_in = next(x for x in host.endpoints(h_in) if x in bs)
+        a_out = next(x for x in host.endpoints(h_out) if x in bs)
+        out.update(_branch_path(host, bs, a_in, a_out))
         out.add(h_out)
     lifted = frozenset(out)
-    if not is_cycle(model.host, lifted):
+    if not is_cycle(host, lifted):
         raise GraphError("lift produced a non-cycle")
     return lifted
 
@@ -451,11 +418,7 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
     from .exchange import delta_y, _triangle_edges  # local import, no cycle at import time
 
     gy = delta_y(g, triangle)
-    tri_eids = _triangle_edges(g, triangle)
-    tri_by_pair = {}
-    for eid in tri_eids:
-        u, v = g.endpoints(eid)
-        tri_by_pair[frozenset((u, v))] = eid
+    tri_set = frozenset(_triangle_edges(g, triangle))
     x = max(gy.vertices)  # the fresh star center gets the next label
     star_eid = {}
     for eid, u, v in gy.edges:
@@ -463,49 +426,34 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
             other = u if v == x else v
             star_eid[other] = eid
 
-    if n == 1:
-        domain = [frozenset([c]) for c in all_cycles(g)]
-        codomain = {frozenset([c]) for c in all_cycles(gy)}
-    else:
-        domain = sorted(_phi_domain_tuples(g, n), key=lambda t: sorted(map(sorted, t)))
-        codomain = set(disjoint_cycle_tuples(gy, n))
-
-    tri_set = frozenset(tri_eids)
+    domain = sorted(_phi_domain_tuples(g, n), key=lambda t: sorted(map(sorted, t)))
+    codomain = disjoint_cycle_tuples(gy, n)
     mapping: dict[CycleTuple, CycleTuple] = {}
     for t in domain:
-        union = frozenset().union(*t)
-        if tri_set <= union:
+        if tri_set <= frozenset().union(*t):
             continue
-        image_parts = []
+        image = []
         for comp in t:
             hit = comp & tri_set
             if not hit:
-                image_parts.append(comp)
+                # delta_y keeps these edges with their ids and endpoints
+                image.append(comp)
                 continue
-            if len(hit) == 1:
-                (eid,) = hit
-                u, v = g.endpoints(eid)
-                image_parts.append((comp - hit) | {star_eid[u], star_eid[v]})
-            elif len(hit) == 2:
-                corners = set()
-                for eid in hit:
-                    corners.update(g.endpoints(eid))
-                shared = [c for c in corners if all(c in g.endpoints(e) for e in hit)]
-                outer = sorted(corners - set(shared))
-                image_parts.append((comp - hit) | {star_eid[outer[0]], star_eid[outer[1]]})
-            else:
-                raise GraphError("component contains the whole triangle")
-        image = frozenset(frozenset(p) for p in image_parts)
-        for p in image:
-            if not is_cycle(gy, p):
+            # one or two triangle edges become the star path between the
+            # corners where the component leaves the triangle
+            ends: set[int] = set()
+            for eid in hit:
+                ends ^= set(g.endpoints(eid))
+            part = (comp - hit) | {star_eid[c] for c in ends}
+            if not is_cycle(gy, part):
                 raise GraphError("triangle exchange image is not a cycle")
-        mapping[t] = image
+            image.append(part)
+        mapping[t] = frozenset(image)
 
     fibers: dict[CycleTuple, list[CycleTuple]] = {}
     for t, img in mapping.items():
         fibers.setdefault(img, []).append(t)
     fib = {k: tuple(v) for k, v in fibers.items()}
-    image_set = set(fib)
-    surjective = image_set == codomain
+    surjective = set(fib) == codomain
     max_fiber = max((len(v) for v in fib.values()), default=0)
     return PhiResult(gy, mapping, fib, surjective, max_fiber)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .cycles import Cycle, cycle_order, cycle_vertices
+from .cycles import Cycle, cycle_walk
 from .invariants import GaussLink, Passage
 from .multigraph import GraphError, MultiGraph
 
@@ -315,34 +315,6 @@ def assign_over_under(
 # -- Gauss code extraction ----------------------------------------------------
 
 
-def _component_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, bool]]:
-    """Edges of a cycle in traversal order with direction flags.
-
-    The walk starts at the smallest vertex and heads toward its smallest
-    neighbor on the cycle (for a doubled edge, along the smaller edge id;
-    a loop is traversed in stored direction).  True means the edge is
-    walked from stored u to stored v.
-    """
-    ids = sorted(cycle)
-    if len(ids) == 1:
-        return [(ids[0], True)]
-    if len(ids) == 2:
-        e1, e2 = ids
-        # start at min(u, v): e1 forward (u -> v), e2 backward (v -> u)
-        return [(e1, True), (e2, False)]
-    order = cycle_order(g, cycle)
-    remaining = set(ids)
-    out = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        key = (a, b) if a <= b else (b, a)
-        eid = min(
-            e for e in remaining if tuple(sorted(g.endpoints(e))) == key
-        )
-        remaining.discard(eid)
-        out.append((eid, g.endpoints(eid)[0] == a))
-    return out
-
-
 def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     """(smallest vertex, passages) of a cycle, computed once per projection.
 
@@ -352,14 +324,16 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     """
     memo = d._walks.get(cycle)
     if memo is None:
+        walk = cycle_walk(d.graph, cycle)
         passages = []
-        for eid, forward in _component_walk(d.graph, cycle):
+        for tail, eid in walk:
+            forward = d.graph.endpoints(eid)[0] == tail
             per = d._per_edge[eid]
             for _, cid, side in per if forward else reversed(per):
                 c = d.crossings[cid]
                 other = c.edge_b if side == "a" else c.edge_a
                 passages.append((eid, 1 if forward else -1, cid, side, other))
-        memo = d._walks[cycle] = (min(cycle_vertices(d.graph, cycle)), tuple(passages))
+        memo = d._walks[cycle] = (walk[0][0], tuple(passages))
     return memo
 
 
@@ -399,11 +373,13 @@ def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) 
 # -- convex position construction ---------------------------------------------
 
 
+_MAX_ATTEMPTS = 40  # seeded jitters tried before giving up
+
+
 def build_convex_diagram(
     g: MultiGraph,
     order: Optional[Sequence[int]] = None,
     seed: int = 0,
-    max_attempts: int = 40,
 ) -> SpatialDiagram:
     """Vertices in convex position (on a parabola, in the given order),
     simple edges as straight chords, parallels and loops as jittered
@@ -413,7 +389,7 @@ def build_convex_diagram(
     if sorted(vs) != list(g.vertices):
         raise GraphError("order must enumerate the vertex set")
     last_err: Optional[Exception] = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = Random(seed * 0x10001 + attempt)
         try:
             return _attempt_convex(g, vs, rng, attempt)

@@ -7,18 +7,17 @@ shortest discovery path per isomorphism class.
 
 Star-to-triangle needs a convention when two neighbors of the degree-3
 vertex are already adjacent (the new triangle edge would collapse with the
-old one).  Both behaviours are implemented; the closure default is
-``collapse="skip"``, which only performs edge-count-preserving exchanges.
-The family censuses this library targets are stated for that convention,
-and ``closure`` records the convention in its result so manifests can carry
-it.
+old one).  ``closure`` fixes it: it skips such exchanges and performs only
+the edge-count-preserving ones, the convention the family censuses this
+library targets are stated for.  Manifests record it as
+``"collapse_convention": "skip"``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -153,7 +152,6 @@ class Transition:
 class ClosureResult:
     seed_certificate: Certificate
     moves: tuple[str, ...]
-    collapse: str
     records: tuple[FamilyRecord, ...]
     transitions: tuple[Transition, ...]
 
@@ -164,17 +162,12 @@ class ClosureResult:
         return frozenset(r.certificate.hex for r in self.records)
 
 
-def closure(
-    seed: MultiGraph,
-    moves: Iterable[str] = ("dy", "yd"),
-    collapse: str = "skip",
-) -> ClosureResult:
+def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureResult:
     """Breadth-first exchange closure of a seed graph.
 
-    moves: subset of {"dy", "yd"}.
-    collapse: "skip" performs only edge-count-preserving star-to-triangle
-    moves; "simplify" always applies the move and lets parallel classes
-    collapse (which can shrink the edge count and grow the family).
+    moves: subset of {"dy", "yd"}.  Star-to-triangle moves are made only
+    where they keep the edge count (the skip convention); an exchange whose
+    new triangle edge would collapse with an existing edge is skipped.
 
     Records are sorted by (vertex count, certificate); each carries the
     first discovery path from the seed.  Every attempted move is logged as a
@@ -185,8 +178,6 @@ def closure(
     for m in move_set:
         if m not in ("dy", "yd"):
             raise GraphError(f"unknown move kind {m!r}")
-    if collapse not in ("skip", "simplify"):
-        raise GraphError(f"unknown collapse policy {collapse!r}")
 
     seed_cert = canonical_form(seed)
     known: dict[bytes, FamilyRecord] = {}
@@ -203,11 +194,8 @@ def closure(
                 children.append((Move("dy", t), delta_y(g, t)))
         if "yd" in move_set:
             for x in g.vertices:
-                if g.degree(x) != 3 or len(g.neighbors(x)) != 3 or g.loops_at(x):
-                    continue
-                if collapse == "skip" and not y_delta_preserves_edges(g, x):
-                    continue
-                children.append((Move("yd", (x,)), y_delta(g, x)))
+                if y_delta_preserves_edges(g, x):
+                    children.append((Move("yd", (x,)), y_delta(g, x)))
         for move, child in children:
             cert = canonical_form(child)
             transitions.append(Transition(rec.certificate, move, cert))
@@ -219,7 +207,7 @@ def closure(
     records = tuple(sorted(
         known.values(), key=lambda r: (r.vertex_count, r.certificate.blob)
     ))
-    return ClosureResult(seed_cert, move_set, collapse, records, tuple(transitions))
+    return ClosureResult(seed_cert, move_set, records, tuple(transitions))
 
 
 def replay_provenance(seed: MultiGraph, provenance: Iterable[Move]) -> MultiGraph:
@@ -287,7 +275,7 @@ def write_manifest(result: ClosureResult, out_dir) -> Path:
     manifest = {
         "seed_certificate": result.seed_certificate.hex,
         "moves": list(result.moves),
-        "collapse_convention": result.collapse,
+        "collapse_convention": "skip",
         "members": entries,
     }
     path = out / "manifest.json"

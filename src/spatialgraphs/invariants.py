@@ -331,39 +331,19 @@ def lk_census(d, pairs: Iterable) -> Census:
     return Census(sum(values) % 2, values, odd)
 
 
-def parity_census(d, mode: str, scope: Iterable) -> Census:
-    """Mod-2 sum of an invariant over a scope of constituent links.
-
-    mode "a2_over_cycles" scopes over single cycles, "lk_over_pairs" over
-    unordered pairs of disjoint cycles.
-    """
-    if mode == "a2_over_cycles":
-        return a2_census(d, scope)
-    if mode == "lk_over_pairs":
-        return lk_census(d, scope)
-    raise GraphError(f"unknown census mode {mode!r}")
-
-
 def alpha(d, model=None) -> int:
     """Mod-2 sum of a2 over the four-edge cycles of a doubled four-cycle,
     read off a diagram of the shape itself or, through a minor model, off a
     diagram of a host graph."""
     from .cycles import all_cycles, lift_cycle
-    from .diagrams import extract_gauss
 
-    if model is None:
-        graph = d.graph
-        quads = [c for c in all_cycles(graph) if len(c) == 4]
-        lifted = quads
-    else:
-        quads = [c for c in all_cycles(model.pattern) if len(c) == 4]
-        lifted = [lift_cycle(model, c) for c in quads]
+    pattern = d.graph if model is None else model.pattern
+    quads = [c for c in all_cycles(pattern) if len(c) == 4]
     if len(quads) != 16:
         raise GraphError(f"expected 16 four-edge cycles, found {len(quads)}")
-    total = 0
-    for c in lifted:
-        total += a2(extract_gauss(d, [c]))
-    return total % 2
+    if model is not None:
+        quads = [lift_cycle(model, c) for c in quads]
+    return a2_census(d, quads).parity
 
 
 @dataclass(frozen=True)

@@ -179,8 +179,10 @@ def test_verify_jobs_under_spawn_matches_serial(capsys):
 
 
 # sha256 of each JSON report with its wall-clock and interpreter-version
-# fields dropped, recorded before the trial loops of `verify` and `spatial`
-# were merged into one engine
+# fields dropped.  The first five were recorded before the trial loops of
+# `verify` and `spatial` were merged into one engine; the cg-k7, d4-lemma,
+# prop24-phi and apex-proper-minors pins before the cycle walks, the
+# disjoint-cycle searches and the parity trials were each merged into one
 PINNED_REPORTS = {
     "spatial --graph PetersenRef --check petersen-lk --trials 3 --seed 5":
         "44eed743555043b87040f7037d818af3366017ca9a9b7b85f69247df3037c0bd",
@@ -192,7 +194,18 @@ PINNED_REPORTS = {
         "bf9f6bcf809bbf0edf3de8af00083b4a64724d76dc7d778380171c9fda309387",
     "verify n9fn-dichotomy --trials 2 --seed 4":
         "7248362c8f866303555725932804c5227eab56f7dca6426f23be7c260632ecb6",
+    "spatial --graph K7 --check cg-k7 --trials 2 --seed 1":
+        "3f717f6ce93a34135e899c4984e3d4c3e0330b55ef4dc9ecc0401f6030d30f31",
+    "verify d4-lemma --trials 4 --seed 0":
+        "d108d10453b9b6eeba03b99ca6b72287151ef3775b629c9c2ec4aa4cc3c75263",
+    "verify prop24-phi --seed 0":
+        "ba687b7daaa63fd32fc29e30365dc3402c822fb257e9a5a398b7dfd18705b87a",
+    "verify apex-proper-minors --seed 0":
+        "ff153071f451320ca8279c0c124468d526fc63e4e3b4d1ffa2ad459773bbae12",
 }
+
+# sha256 of the manifest.json written by `families --seed K6 --out`
+PINNED_K6_MANIFEST = "7d89872b20723568e8d6d3953d13727dafd7a186cd097f35e27ae2b6ef2b5b2c"
 
 
 @pytest.mark.parametrize("call", sorted(PINNED_REPORTS))
@@ -202,6 +215,13 @@ def test_reports_match_pins(capsys, call):
     report = {k: v for k, v in json.loads(out).items() if k not in ("elapsed_s", "python")}
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_REPORTS[call]
+
+
+def test_manifest_matches_pin(capsys, tmp_path):
+    code, _, _ = run(capsys, "families", "--seed", "K6", "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == PINNED_K6_MANIFEST
 
 
 @pytest.mark.parametrize("argv", [

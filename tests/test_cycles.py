@@ -1,12 +1,24 @@
 """Cycle enumeration, disjoint cycle systems, and cycle arithmetic."""
 
-import pytest
+from itertools import combinations
 
-from spatialgraphs.catalog import family_member, fixture
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spatialgraphs.catalog import (
+    family_member,
+    fixture,
+    fixture_names,
+    heawood_family,
+    k3311_family,
+    petersen_family,
+)
 from spatialgraphs.cycles import (
     all_cycles,
     cycle_order,
     cycle_vertices,
+    cycle_walk,
     disjoint_cycle_tuples,
     format_cycle,
     gamma3_empty,
@@ -15,7 +27,7 @@ from spatialgraphs.cycles import (
     phi_map,
     z2_decompose,
 )
-from spatialgraphs.multigraph import complete_graph, from_pairs
+from spatialgraphs.multigraph import GraphError, MultiGraph, complete_graph, from_pairs
 
 
 def tuples_as_text(g, tuples):
@@ -131,3 +143,116 @@ def test_phi_map_counts_match_exchange():
     assert res.surjective
     assert len(res.fibers) == len(disjoint_cycle_tuples(res.exchanged, 2)) == 9
     assert sum(len(f) for f in res.fibers.values()) == len(res.mapping)
+
+
+# -- one walk per cycle, checked against the two walks it replaced ------------------
+
+
+def _old_cycle_order(g, cycle):
+    ids = sorted(cycle)
+    if len(ids) == 1:
+        u, v = g.endpoints(ids[0])
+        if u != v:
+            raise GraphError("single non-loop edge is not a cycle")
+        return [u]
+    if len(ids) == 2:
+        u, v = g.endpoints(ids[0])
+        return sorted((u, v))
+    incid = {}
+    for eid in ids:
+        u, v = g.endpoints(eid)
+        incid.setdefault(u, []).append((eid, v))
+        incid.setdefault(v, []).append((eid, u))
+    start = min(incid)
+    target = sorted(w for _, w in incid[start])[0]
+    order = [start]
+    for eid, w in sorted(incid[start]):
+        if w == target:
+            prev_edge = eid
+            break
+    here = target
+    while here != start:
+        order.append(here)
+        for eid, w in sorted(incid[here]):
+            if eid != prev_edge:
+                prev_edge = eid
+                here = w
+                break
+    return order
+
+
+def _old_component_walk(g, cycle):
+    ids = sorted(cycle)
+    if len(ids) == 1:
+        return [(ids[0], True)]
+    if len(ids) == 2:
+        return [(ids[0], True), (ids[1], False)]
+    order = _old_cycle_order(g, cycle)
+    remaining = set(ids)
+    out = []
+    for a, b in zip(order, order[1:] + order[:1]):
+        key = (a, b) if a <= b else (b, a)
+        eid = min(e for e in remaining if tuple(sorted(g.endpoints(e))) == key)
+        remaining.discard(eid)
+        out.append((eid, g.endpoints(eid)[0] == a))
+    return out
+
+
+def _assert_walks_match_oracle(g):
+    for cycle in all_cycles(g):
+        walk = cycle_walk(g, cycle)
+        assert [v for v, _ in walk] == cycle_order(g, cycle) == _old_cycle_order(g, cycle)
+        directed = [(eid, g.endpoints(eid)[0] == v) for v, eid in walk]
+        assert directed == _old_component_walk(g, cycle)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 8 vertices with arbitrary labels; loops and parallel edges occur."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(-3, 30), min_size=n, max_size=n, unique=True))
+    ends = st.sampled_from(labels)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    return from_pairs(pairs, vertices=labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs())
+def test_cycle_walk_matches_old_walks(g):
+    _assert_walks_match_oracle(g)
+
+
+def test_cycle_walk_matches_old_walks_on_families_and_fixtures():
+    graphs = [r.graph for fam in (petersen_family(), heawood_family(), k3311_family())
+              for r in fam.records]
+    graphs += [g for g in map(fixture, fixture_names()) if isinstance(g, MultiGraph)]
+    for g in graphs:
+        _assert_walks_match_oracle(g)
+
+
+def test_cycle_walk_rejects_non_cycles(n9):
+    with pytest.raises(GraphError):
+        cycle_walk(n9, frozenset(n9.edges_between(1, 2)))
+    for pairs in (
+        [(1, 2), (2, 3), (3, 4), (2, 5), (5, 3)],  # a dead end
+        [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)],  # two triangles at 1
+        [(1, 2), (2, 3), (3, 4), (4, 2)],  # a tail into a triangle
+    ):
+        g = from_pairs(pairs)
+        with pytest.raises(GraphError):
+            cycle_walk(g, frozenset(g.edge_ids()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs())
+def test_disjoint_cycle_search_matches_brute_force(g):
+    cycles = all_cycles(g)
+    for n in (1, 2, 3):
+        expected = {
+            frozenset(combo) for combo in combinations(cycles, n)
+            if all(not (cycle_vertices(g, a) & cycle_vertices(g, b))
+                   for a, b in combinations(combo, 2))
+        }
+        tuples = disjoint_cycle_tuples(g, n)
+        assert tuples == expected
+        assert has_disjoint_cycles(g, n) == bool(tuples)

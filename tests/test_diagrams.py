@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialgraphs.catalog import d4_reference_diagram, fixture
-from spatialgraphs.cycles import all_cycles, cycle_vertices, disjoint_cycle_tuples
+from spatialgraphs.cycles import all_cycles, cycle_walk, disjoint_cycle_tuples
 from spatialgraphs.diagrams import (
     GenericityError,
     SpatialDiagram,
-    _component_walk,
     _cross,
     assign_over_under,
     build_convex_diagram,
@@ -142,9 +141,10 @@ def test_random_knot_diagram_is_deterministic():
 
 def _geometric_gauss(d, comps):
     """Gauss code read straight off the geometry: walk every cycle with
-    _component_walk and sign every crossing by the Fraction cross product
-    of the walked over and under directions."""
-    comps = sorted(comps, key=lambda c: (min(cycle_vertices(d.graph, c)), sorted(c)))
+    cycle_walk and sign every crossing by the Fraction cross product of the
+    walked over and under directions."""
+    walks = {c: cycle_walk(d.graph, c) for c in map(frozenset, comps)}
+    comps = sorted(walks, key=lambda c: (walks[c][0][0], sorted(c)))
     chosen = frozenset().union(*comps)
     per_edge = {e: [] for e in d.edges}
     for c in d.crossings:
@@ -153,7 +153,8 @@ def _geometric_gauss(d, comps):
     walk_dirs, sequences = {}, []
     for comp in comps:
         seq = []
-        for eid, forward in _component_walk(d.graph, comp):
+        for tail, eid in walks[comp]:
+            forward = d.graph.endpoints(eid)[0] == tail
             walk_dirs[eid] = 1 if forward else -1
             for _, cid, side in sorted(per_edge[eid], reverse=not forward):
                 c = d.crossings[cid]

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from spatialgraphs.canon import is_isomorphic
-from spatialgraphs.catalog import family_member
+from spatialgraphs.catalog import family_member, fixture
 from spatialgraphs.exchange import (
     ExchangeSiteError,
+    _triangle_edges,
     closure,
     delta_y,
     replay_provenance,
@@ -37,6 +38,16 @@ def test_delta_y_shape():
 def test_delta_y_k6_is_the_flagged_member():
     g = delta_y(complete_graph(6), (1, 2, 3))
     assert is_isomorphic(g, family_member("Y7")) is not None
+
+
+@pytest.mark.parametrize("name", ["K6", "K7", "N9"])
+def test_delta_y_keeps_every_edge_off_the_triangle(name):
+    # phi_map passes components that miss the triangle through unchecked
+    g = fixture(name)
+    for t in triangles(g):
+        tri = set(_triangle_edges(g, t))
+        kept = set(delta_y(g, t).edges)
+        assert all(e in kept for e in g.edges if e[0] not in tri)
 
 
 def test_delta_y_rejects_missing_triangle():

@@ -27,7 +27,6 @@ from spatialgraphs.invariants import (
     linking_number,
     lk_census,
     pair_lk,
-    parity_census,
     parse_gauss,
     poly_str,
 )
@@ -118,14 +117,6 @@ def test_a2_census_on_hamiltonian_cycles_of_k7():
     for s in range(3):
         census = a2_census(assign_over_under(base, seed=s), sevens)
         assert census.parity == 1
-
-
-def test_parity_census_modes(n9):
-    d = assign_over_under(build_convex_diagram(n9), bits=0)
-    pairs = disjoint_cycle_tuples(n9, 2)
-    assert parity_census(d, "lk_over_pairs", pairs).values == lk_census(d, pairs).values
-    with pytest.raises(GraphError, match="unknown census mode"):
-        parity_census(d, "lk_over_triples", pairs)
 
 
 def test_linking_parity_is_additive_over_cycle_sums(n9):
