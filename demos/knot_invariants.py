@@ -25,7 +25,7 @@ print()
 agree = 0
 for seed in range(25):
     d, cycle = random_knot_diagram(seed=seed, max_crossings=12)
-    k = extract_gauss(d, cycle)
+    k = extract_gauss(d, [cycle])
     if a2(k) == conway_polynomial(k).get(2, 0):
         agree += 1
 print(f"state sum matches the polynomial on {agree}/25 sampled knots")

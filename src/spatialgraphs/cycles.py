@@ -115,9 +115,12 @@ def cycle_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, int]]:
 
     The walk starts at the smallest vertex and heads toward its smaller
     neighbour; a doubled edge goes out along its smaller id, and a loop is
-    a single step.
+    a single step.  The walk meets each vertex once, so an edge set that
+    only closes up by revisiting a vertex is rejected.
     """
     ids = sorted(cycle)
+    if not ids:
+        raise GraphError("edge set is not a cycle")
     incid: dict[int, list[tuple[int, int]]] = {}
     for eid in ids:
         u, v = g.endpoints(eid)
@@ -127,9 +130,11 @@ def cycle_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, int]]:
     start = min(incid)
     eid, here = min(incid[start], key=lambda step: (step[1], step[0]))
     walk = [(start, eid)]
-    while here != start:
+    seen = {start}
+    while here not in seen:
+        seen.add(here)
         step = next(((e, w) for e, w in incid[here] if e != eid), None)
-        if step is None or len(walk) == len(ids):
+        if step is None:
             break
         walk.append((here, step[0]))
         eid, here = step

@@ -4,10 +4,12 @@ A diagram places vertices at rational points and routes every edge as a
 polyline.  All intersection tests run in exact arithmetic over fractions,
 and construction certifies generic position: transversal double points
 only, no vertex on a foreign edge, no triple points, no overlapping or
-self-intersecting polylines.  Over/under information lives on the crossing
-records, so reassigning a diagram's crossings is cheap and the geometry is
-shared, together with what is derived from it once per projection: each
-crossing's orientation and each cycle's walk through its crossings.
+self-intersecting polylines.  The crossing records hold geometry only; the
+over/under state of a diagram is one integer mask, bit i set when the
+``edge_b`` strand of crossing i is on top.  Reassigning it is cheap: a clone
+carries a new mask and shares the geometry, together with what is derived
+from it once per projection: each crossing's orientation and each cycle's
+walk through its crossings.
 
 Randomly assigning over/under bits to a fixed projection samples honest
 spatial embeddings: every assignment of a generic projection is realizable
@@ -17,10 +19,11 @@ by a polygonal embedding pushing strands above or below the page.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .cycles import Cycle, cycle_walk
 from .invariants import GaussLink, Passage
@@ -105,18 +108,9 @@ class Crossing:
     param_a: Fraction  # segment index + parameter within the segment
     edge_b: int
     param_b: Fraction
-    over: str  # "a" or "b"
     point: Point
     dir_a: Point  # direction of edge_a's segment at the crossing (stored orientation)
     dir_b: Point
-
-    @property
-    def over_edge(self) -> int:
-        return self.edge_a if self.over == "a" else self.edge_b
-
-    @property
-    def under_edge(self) -> int:
-        return self.edge_b if self.over == "a" else self.edge_a
 
 
 class SpatialDiagram:
@@ -145,7 +139,9 @@ class SpatialDiagram:
         self.edges = edges
         self.crossings = self._compute_crossings()
         self._per_edge = self._index_per_edge()
-        # bit-independent data, shared by every over/under clone: the sign
+        # over/under: bit i set puts the edge_b strand of crossing i on top
+        self.mask = 0
+        # mask-independent data, shared by every over/under clone: the sign
         # of cross(dir_a, dir_b) per crossing, and _walk's memo per cycle
         self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
         self._walks: dict[Cycle, tuple] = {}
@@ -168,7 +164,7 @@ class SpatialDiagram:
             if pt in pts:
                 raise GenericityError(f"triple point at {pt}")
             pts[pt] = cid
-            out.append(Crossing(cid, ea, pa, eb, pb, "a", pt, da, db))
+            out.append(Crossing(cid, ea, pa, eb, pb, pt, da, db))
         return tuple(out)
 
     def _check_polyline(self, de: DiagramEdge, vertex_points: set) -> None:
@@ -262,24 +258,12 @@ class SpatialDiagram:
         return False
 
     def _index_per_edge(self):
-        per: dict[int, list[tuple[Fraction, int, str]]] = {e: [] for e in self.edges}
+        # side 0 is a crossing's edge_a strand, side 1 its edge_b strand
+        per: dict[int, list[tuple[Fraction, int, int]]] = {e: [] for e in self.edges}
         for c in self.crossings:
-            per[c.edge_a].append((c.param_a, c.cid, "a"))
-            per[c.edge_b].append((c.param_b, c.cid, "b"))
+            per[c.edge_a].append((c.param_a, c.cid, 0))
+            per[c.edge_b].append((c.param_b, c.cid, 1))
         return {e: tuple(sorted(lst)) for e, lst in per.items()}
-
-    # -- over/under ----------------------------------------------------------
-
-    def with_crossings(self, crossings: tuple[Crossing, ...]) -> "SpatialDiagram":
-        clone = object.__new__(SpatialDiagram)
-        clone.graph = self.graph
-        clone.positions = self.positions
-        clone.edges = self.edges
-        clone.crossings = crossings
-        clone._per_edge = self._per_edge
-        clone._orient = self._orient
-        clone._walks = self._walks
-        return clone
 
     @property
     def crossing_count(self) -> int:
@@ -287,29 +271,21 @@ class SpatialDiagram:
 
 
 def assign_over_under(
-    d: SpatialDiagram,
-    bits: Union[int, Sequence[int], None] = None,
-    seed: Optional[int] = None,
+    d: SpatialDiagram, bits: Optional[int] = None, seed: Optional[int] = None
 ) -> SpatialDiagram:
-    """New diagram with over/under chosen by bits (bit i = crossing i) or by
-    a seeded RNG.  Bit 0 puts the lexicographically first strand on top."""
+    """Clone of d whose over/under mask is bits (bit i = crossing i) or is
+    drawn by a seeded RNG.  Bit 0 puts the lexicographically first strand
+    on top.  The clone shares d's geometry and per-projection memos."""
     n = d.crossing_count
     if bits is None:
         if seed is None:
             raise GraphError("need bits or a seed")
-        bits = Random(seed).getrandbits(n) if n else 0
-    if isinstance(bits, int):
-        if bits < 0 or bits >= (1 << n):
-            raise GraphError(f"bits out of range for {n} crossings")
-        seq = [(bits >> i) & 1 for i in range(n)]
-    else:
-        seq = [1 if b else 0 for b in bits]
-        if len(seq) != n:
-            raise GraphError(f"expected {n} bits, got {len(seq)}")
-    new = tuple(
-        replace(c, over="a" if b == 0 else "b") for c, b in zip(d.crossings, seq)
-    )
-    return d.with_crossings(new)
+        bits = Random(seed).getrandbits(n)
+    if not 0 <= bits < 1 << n:
+        raise GraphError(f"bits out of range for {n} crossings")
+    clone = copy(d)
+    clone.mask = bits
+    return clone
 
 
 # -- Gauss code extraction ----------------------------------------------------
@@ -319,8 +295,8 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     """(smallest vertex, passages) of a cycle, computed once per projection.
 
     The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
-    with walk_dir +1 when eid is walked from stored u to stored v; none of
-    it depends on the over/under bits.
+    with walk_dir +1 when eid is walked from stored u to stored v and side
+    1 when eid is the crossing's edge_b; none of it depends on the mask.
     """
     memo = d._walks.get(cycle)
     if memo is None:
@@ -331,23 +307,20 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
             per = d._per_edge[eid]
             for _, cid, side in per if forward else reversed(per):
                 c = d.crossings[cid]
-                other = c.edge_b if side == "a" else c.edge_a
+                other = c.edge_a if side else c.edge_b
                 passages.append((eid, 1 if forward else -1, cid, side, other))
         memo = d._walks[cycle] = (walk[0][0], tuple(passages))
     return memo
 
 
-def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) -> GaussLink:
+def extract_gauss(d: SpatialDiagram, components: Iterable[Cycle]) -> GaussLink:
     """Gauss code of the sub-diagram spanned by disjoint cycles of d's graph.
 
     Crossings where only one strand belongs to the chosen cycles are not
     passages.  Crossing signs follow the right-handed convention: +1 when
     the under direction is a positive quarter turn of the over direction.
     """
-    if isinstance(components, frozenset) and all(isinstance(x, int) for x in components):
-        comps = [components]
-    else:
-        comps = [frozenset(c) for c in components]
+    comps = [frozenset(c) for c in components]
     walks = {c: _walk(d, c) for c in comps}
     comps = sorted(comps, key=lambda c: (walks[c][0], sorted(c)))
     all_eids = set()
@@ -363,9 +336,10 @@ def extract_gauss(d: SpatialDiagram, components: Union[Cycle, Iterable[Cycle]]) 
         for _, _, cid, side, other in walks[c][1]:
             if other in all_eids:
                 x = d.crossings[cid]
+                b_over = d.mask >> cid & 1
                 # cross(d_over, d_under) of the walked directions, in integers
                 sign = d._orient[cid] * walk_dirs[x.edge_a] * walk_dirs[x.edge_b]
-                passages.append(Passage(cid, side == x.over, sign if x.over == "a" else -sign))
+                passages.append(Passage(cid, side == b_over, -sign if b_over else sign))
         out_components.append(tuple(passages))
     return GaussLink(tuple(out_components))
 
@@ -430,14 +404,16 @@ def _attempt_convex(g, vs, rng: Random, attempt: int) -> SpatialDiagram:
     return SpatialDiagram(g, positions, polylines)
 
 
-def random_knot_diagram(
-    seed: int, n: int = 7, max_crossings: int = 16
-) -> tuple[SpatialDiagram, Cycle]:
-    """A random knot: an n-cycle drawn in convex position with the vertices
+_KNOT_VERTICES = 7  # length of the cycle random_knot_diagram draws
+
+
+def random_knot_diagram(seed: int, max_crossings: int = 16) -> tuple[SpatialDiagram, Cycle]:
+    """A random knot: a 7-cycle drawn in convex position with the vertices
     in a shuffled circular order and uniformly random over/under bits.
     Orders yielding more than max_crossings crossings are rejected."""
     from .multigraph import from_pairs
 
+    n = _KNOT_VERTICES
     g = from_pairs([(i, i % n + 1) for i in range(1, n + 1)])
     cycle = frozenset(g.edge_ids())
     rng = Random(seed * 0x10001 + 0xA2)
@@ -463,6 +439,14 @@ def _frac(s: str) -> Fraction:
 
 
 def diagram_to_json(d: SpatialDiagram) -> str:
+    crossings = []
+    for c in d.crossings:
+        strands = [(c.edge_a, c.param_a), (c.edge_b, c.param_b)]
+        if d.mask >> c.cid & 1:
+            strands.reverse()
+        (oe, op), (ue, up) = strands
+        crossings.append({"id": c.cid, "over_edge": oe, "over_param": _frac_str(op),
+                          "under_edge": ue, "under_param": _frac_str(up)})
     doc = {
         "vertices": {
             str(v): [_frac_str(p[0]), _frac_str(p[1])] for v, p in sorted(d.positions.items())
@@ -475,16 +459,7 @@ def diagram_to_json(d: SpatialDiagram) -> str:
             }
             for e in sorted(d.edges.values(), key=lambda e: e.eid)
         },
-        "crossings": [
-            {
-                "id": c.cid,
-                "over_edge": c.over_edge,
-                "over_param": _frac_str(c.param_a if c.over == "a" else c.param_b),
-                "under_edge": c.under_edge,
-                "under_param": _frac_str(c.param_b if c.over == "a" else c.param_a),
-            }
-            for c in d.crossings
-        ],
+        "crossings": crossings,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -503,22 +478,19 @@ def diagram_from_json(text: str) -> SpatialDiagram:
     g = MultiGraph(positions.keys(), pairs)
     d = SpatialDiagram(g, positions, polylines)
     # replay the stored over/under onto the recomputed crossings
-    by_key = {}
-    for c in d.crossings:
-        by_key[(c.edge_a, c.param_a, c.edge_b, c.param_b)] = c.cid
-    bits = [0] * d.crossing_count
+    by_key = {(c.edge_a, c.param_a, c.edge_b, c.param_b): c.cid for c in d.crossings}
+    mask = 0
     matched = 0
     for rec in doc["crossings"]:
-        oe, op = rec["over_edge"], _frac(rec["over_param"])
-        ue, up = rec["under_edge"], _frac(rec["under_param"])
-        if (oe, op, ue, up) in by_key:
-            bits[by_key[(oe, op, ue, up)]] = 0
+        over = (rec["over_edge"], _frac(rec["over_param"]))
+        under = (rec["under_edge"], _frac(rec["under_param"]))
+        if over + under in by_key:
             matched += 1
-        elif (ue, up, oe, op) in by_key:
-            bits[by_key[(ue, up, oe, op)]] = 1
+        elif under + over in by_key:
+            mask |= 1 << by_key[under + over]
             matched += 1
         else:
             raise GraphError("stored crossing does not match the geometry")
     if matched != d.crossing_count:
         raise GraphError("crossing list does not match the geometry")
-    return assign_over_under(d, bits)
+    return assign_over_under(d, mask)

@@ -159,7 +159,10 @@ def poly_str(p: dict) -> str:
 _RawComp = tuple[tuple[int, bool, int], ...]
 
 
-def conway_polynomial(link: GaussLink, max_crossings: int = 24) -> dict[int, int]:
+_SKEIN_MAX_CROSSINGS = 24  # guard on the exponential skein evaluation
+
+
+def conway_polynomial(link: GaussLink) -> dict[int, int]:
     """Conway polynomial as {degree: coefficient}.
 
     Descending algorithm: repeatedly locate the first passage met as an
@@ -168,7 +171,7 @@ def conway_polynomial(link: GaussLink, max_crossings: int = 24) -> dict[int, int
     Exponential in the worst case, hence the crossing-count guard.
     """
     link.validate()
-    if len(link.crossing_ids) > max_crossings:
+    if len(link.crossing_ids) > _SKEIN_MAX_CROSSINGS:
         raise GraphError(
             f"{len(link.crossing_ids)} crossings exceed the skein guard"
         )

@@ -22,7 +22,6 @@ from .multigraph import (
     GraphError,
     MultiGraph,
     ReductionScript,
-    ScriptResult,
     apply_script,
     contract_edge,
     delete_edge,
@@ -43,17 +42,15 @@ def _multiplicity_caps(h: MultiGraph) -> tuple[int, int]:
     return par_cap, loop_cap
 
 
-def _normalize(g: MultiGraph, par_cap: int, loop_cap: int, drop_isolated: bool) -> MultiGraph:
-    """Trim parallel classes/loops beyond what the pattern can use."""
+def _normalize(g: MultiGraph, par_cap: int, loop_cap: int) -> MultiGraph:
+    """Trim parallel classes/loops beyond what the pattern can use, and drop
+    isolated vertices."""
     kept = []
     for (u, v), ids in sorted(g.parallel_classes().items()):
         cap = loop_cap if u == v else par_cap
         for eid in sorted(ids)[:cap]:
             kept.append((eid, u, v))
-    out = MultiGraph(g.vertices, kept)
-    if drop_isolated:
-        out = without_isolated(out)
-    return out
+    return without_isolated(MultiGraph(g.vertices, kept))
 
 
 def _degree_dominates(g: MultiGraph, h: MultiGraph) -> bool:
@@ -72,7 +69,10 @@ class _State:
     merged: dict[int, frozenset[int]]
 
 
-def has_minor(g: MultiGraph, h: MultiGraph, max_states: int = 2_000_000) -> Optional[MinorModel]:
+_MAX_STATES = 2_000_000  # reduction states has_minor may expand
+
+
+def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     """A MinorModel of h inside g, or None. Absence means the memoized
     search exhausted every reduction order."""
     if h.vertex_count == 0:
@@ -80,10 +80,10 @@ def has_minor(g: MultiGraph, h: MultiGraph, max_states: int = 2_000_000) -> Opti
     if any(not h.incident(v) for v in h.vertices):
         raise GraphError("patterns with isolated vertices are not supported")
     par_cap, loop_cap = _multiplicity_caps(h)
-    start = _normalize(g, par_cap, loop_cap, drop_isolated=True)
+    start = _normalize(g, par_cap, loop_cap)
     init = _State(start, {v: frozenset([v]) for v in start.vertices})
     seen: set[bytes] = set()
-    budget = [max_states]
+    budget = [_MAX_STATES]
 
     found = _search(init, h, par_cap, loop_cap, seen, budget)
     if found is None:
@@ -126,7 +126,7 @@ def _search(
     for eid, u, v in g.edges:
         if can_contract and u != v:
             child = contract_edge(g, eid, keep=min(u, v))
-            child = _normalize(child, par_cap, loop_cap, drop_isolated=True)
+            child = _normalize(child, par_cap, loop_cap)
             merged = dict(state.merged)
             keep, drop = min(u, v), max(u, v)
             merged[keep] = merged[keep] | merged[drop]
@@ -134,7 +134,7 @@ def _search(
             merged = {v2: s for v2, s in merged.items() if child.has_vertex(v2)}
             children.append(_State(child, merged))
         if g.edge_count > mh:
-            child = _normalize(delete_edge(g, eid), par_cap, loop_cap, drop_isolated=True)
+            child = _normalize(delete_edge(g, eid), par_cap, loop_cap)
             merged = {v2: s for v2, s in state.merged.items() if child.has_vertex(v2)}
             children.append(_State(child, merged))
 
@@ -145,24 +145,33 @@ def _search(
     return None
 
 
-def _build_model(g: MultiGraph, h: MultiGraph, found) -> MinorModel:
-    state, witness = found  # witness: h vertex -> reduced vertex
-    reduced = state.graph
-    branch_sets = {hv: state.merged[rv] for hv, rv in witness.items()}
-    # group pattern edges per endpoint pair, then hand out surviving host
-    # edges (ids are original ids) between the matching branch sets
-    edge_map: dict[int, int] = {}
+def _hand_out_edges(
+    h: MultiGraph, reduced: MultiGraph, witness: dict[int, int]
+) -> Optional[dict[int, int]]:
+    """Pattern edge -> surviving host edge (ids are original ids).
+
+    The pattern edges of each endpoint pair take, in id order, the smallest
+    edges of reduced between the pair's witnessed images; None when a pair
+    has too few of them.
+    """
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid, u, v in h.edges:
-        key = (u, v) if u <= v else (v, u)
-        by_pair.setdefault(key, []).append(eid)
+        by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
+    edge_map: dict[int, int] = {}
     for (hu, hv), pattern_ids in sorted(by_pair.items()):
-        ru, rv = witness[hu], witness[hv]
-        avail = sorted(reduced.edges_between(ru, rv))
+        avail = sorted(reduced.edges_between(witness[hu], witness[hv]))
         if len(avail) < len(pattern_ids):
-            raise GraphError("internal error: missing parallel copies in reduced graph")
-        for peid, heid in zip(sorted(pattern_ids), avail):
-            edge_map[peid] = heid
+            return None
+        edge_map.update(zip(sorted(pattern_ids), avail))
+    return edge_map
+
+
+def _build_model(g: MultiGraph, h: MultiGraph, found) -> MinorModel:
+    state, witness = found  # witness: h vertex -> reduced vertex
+    branch_sets = {hv: state.merged[rv] for hv, rv in witness.items()}
+    edge_map = _hand_out_edges(h, state.graph, witness)
+    if edge_map is None:
+        raise GraphError("internal error: missing parallel copies in reduced graph")
     return MinorModel(g, h, branch_sets, edge_map)
 
 
@@ -191,8 +200,6 @@ def one_step_reductions(g: MultiGraph) -> list[tuple[str, MultiGraph]]:
 @dataclass
 class ScriptCheck:
     ok: bool
-    result: MultiGraph
-    script_result: ScriptResult
     model: Optional[MinorModel]
 
 
@@ -209,16 +216,12 @@ def verify_minor_script(g: MultiGraph, script: ReductionScript, target: MultiGra
     target_s = simplify(target)
     witness = is_isomorphic(target_s, reduced)
     if witness is None:
-        return ScriptCheck(False, reduced, sr, None)
+        return ScriptCheck(False, None)
+    edge_map = _hand_out_edges(target_s, reduced, witness)
+    if edge_map is None:
+        return ScriptCheck(False, None)
     branch_all = sr.branch_sets()
     branch_sets = {tv: branch_all[rv] for tv, rv in witness.items()}
-    edge_map: dict[int, int] = {}
-    for teid, tu, tv in target_s.edges:
-        ru, rv = witness[tu], witness[tv]
-        avail = sorted(reduced.edges_between(ru, rv))
-        if not avail:
-            return ScriptCheck(False, reduced, sr, None)
-        edge_map[teid] = avail[0]
     model = MinorModel(g, target_s, branch_sets, edge_map)
     model.validate()
-    return ScriptCheck(True, reduced, sr, model)
+    return ScriptCheck(True, model)

@@ -152,13 +152,6 @@ class MultiGraph:
     def next_edge_id(self) -> int:
         return (max(e[0] for e in self._edges) + 1) if self._edges else 0
 
-    def induced(self, keep: Iterable[int]) -> "MultiGraph":
-        ks = set(keep)
-        missing = ks - set(self._vertices)
-        if missing:
-            raise UnknownVertexError(f"not vertices: {sorted(missing)}")
-        return MultiGraph(ks, [e for e in self._edges if e[1] in ks and e[2] in ks])
-
     def relabeled(self, mapping: dict[int, int]) -> "MultiGraph":
         """New graph with vertices renamed through a bijective mapping."""
         if len(set(mapping.values())) != len(mapping):
@@ -304,8 +297,6 @@ class ScriptResult:
     graph: MultiGraph
     # original label -> surviving label, or None once deleted
     vertex_map: dict[int, Optional[int]]
-    contracted_edges: tuple[int, ...]
-    deleted_edges: tuple[int, ...]
 
     def branch_sets(self) -> dict[int, frozenset[int]]:
         """Surviving label -> set of original labels merged into it."""
@@ -319,8 +310,6 @@ class ScriptResult:
 def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
     cur = g
     vmap: dict[int, Optional[int]] = {v: v for v in g.vertices}
-    contracted: list[int] = []
-    deleted: list[int] = []
 
     def resolve(orig: int, idx: int) -> int:
         if orig not in vmap:
@@ -338,7 +327,6 @@ def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
                 raise ScriptError(f"step {idx}: no edge between {step.u} and {step.v}")
             # with parallels present the smallest id goes first
             cur = delete_edge(cur, min(ids))
-            deleted.append(min(ids))
         elif isinstance(step, ContractEdge):
             a, b = resolve(step.u, idx), resolve(step.v, idx)
             if a == b:
@@ -346,9 +334,7 @@ def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
             ids = cur.edges_between(a, b)
             if not ids:
                 raise ScriptError(f"step {idx}: no edge between {step.u} and {step.v}")
-            eid = min(ids)
-            cur = contract_edge(cur, eid, keep=a)
-            contracted.append(eid)
+            cur = contract_edge(cur, min(ids), keep=a)
             for orig, lab in vmap.items():
                 if lab == b:
                     vmap[orig] = a
@@ -360,7 +346,7 @@ def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
                     vmap[orig] = None
         else:
             raise ScriptError(f"step {idx}: unknown step {step!r}")
-    return ScriptResult(cur, vmap, tuple(contracted), tuple(deleted))
+    return ScriptResult(cur, vmap)
 
 
 # -- edge list text format ---------------------------------------------------

@@ -23,6 +23,7 @@ from spatialgraphs.cycles import (
     format_cycle,
     gamma3_empty,
     has_disjoint_cycles,
+    is_cycle,
     parse_cycle,
     phi_map,
     z2_decompose,
@@ -237,10 +238,26 @@ def test_cycle_walk_rejects_non_cycles(n9):
         [(1, 2), (2, 3), (3, 4), (2, 5), (5, 3)],  # a dead end
         [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)],  # two triangles at 1
         [(1, 2), (2, 3), (3, 4), (4, 2)],  # a tail into a triangle
+        [(1, 2), (2, 3), (3, 4), (2, 4), (1, 2)],  # closes only by revisiting 2
     ):
         g = from_pairs(pairs)
         with pytest.raises(GraphError):
             cycle_walk(g, frozenset(g.edge_ids()))
+    with pytest.raises(GraphError):
+        cycle_walk(n9, frozenset())
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_cycle_walk_succeeds_exactly_on_cycles(g, data):
+    subset = frozenset(data.draw(st.sets(st.sampled_from(g.edge_ids()))) if g.edge_count else ())
+    try:
+        cycle_walk(g, subset)
+    except GraphError:
+        walked = False
+    else:
+        walked = True
+    assert walked == is_cycle(g, subset)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Exact-rational diagrams and their genericity certification."""
 
 import functools
+import hashlib
 import pickle
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialgraphs.catalog import d4_reference_diagram, fixture
-from spatialgraphs.cycles import all_cycles, cycle_walk, disjoint_cycle_tuples
+from spatialgraphs.cycles import all_cycles, cycle_vertices, cycle_walk, disjoint_cycle_tuples
 from spatialgraphs.diagrams import (
     GenericityError,
     SpatialDiagram,
@@ -21,7 +22,7 @@ from spatialgraphs.diagrams import (
     random_knot_diagram,
 )
 from spatialgraphs.invariants import GaussLink, Passage
-from spatialgraphs.multigraph import complete_graph, from_pairs
+from spatialgraphs.multigraph import GraphError, complete_graph, from_pairs
 
 
 def straight(positions, pairs_by_eid):
@@ -89,13 +90,40 @@ def test_overlapping_collinear_segments_rejected():
         SpatialDiagram(g, pos, {0: ((0, 0), (2, 0), (1, 0))})
 
 
+def _edges_on_top(d):
+    """Per crossing, the edge that extract_gauss marks as the over strand,
+    read off a link of two disjoint cycles, one through each strand."""
+    g = d.graph
+    pairs = [sorted(p, key=lambda c: min(cycle_vertices(g, c))) for p in disjoint_cycle_tuples(g, 2)]
+    tops = []
+    for x in d.crossings:
+        first, second = next(
+            (f, s) for f, s in pairs
+            if (x.edge_a in f and x.edge_b in s) or (x.edge_b in f and x.edge_a in s)
+        )
+        # components come out ordered by smallest vertex, so first is 0
+        (p,) = [p for p in extract_gauss(d, [first, second]).components[0] if p.crossing == x.cid]
+        strand, other = (x.edge_a, x.edge_b) if x.edge_a in first else (x.edge_b, x.edge_a)
+        tops.append(strand if p.over else other)
+    return tops
+
+
 def test_assign_over_under_bits_convention():
     d = build_convex_diagram(complete_graph(6))
-    assert all(c.over == "a" for c in assign_over_under(d, bits=0).crossings)
-    assert all(c.over == "b" for c in assign_over_under(d, bits=(1 << 15) - 1).crossings)
-    one = assign_over_under(d, bits=1)
-    assert one.crossings[0].over == "b"
-    assert all(c.over == "a" for c in one.crossings[1:])
+    edge_a = [c.edge_a for c in d.crossings]
+    edge_b = [c.edge_b for c in d.crossings]
+    assert _edges_on_top(assign_over_under(d, bits=0)) == edge_a
+    assert _edges_on_top(assign_over_under(d, bits=(1 << 15) - 1)) == edge_b
+    assert _edges_on_top(assign_over_under(d, bits=1)) == edge_b[:1] + edge_a[1:]
+
+
+def test_assign_over_under_rejects_bad_input():
+    d = build_convex_diagram(complete_graph(6))
+    for bad in (-1, 1 << 15):
+        with pytest.raises(GraphError, match="out of range"):
+            assign_over_under(d, bits=bad)
+    with pytest.raises(GraphError, match="need bits or a seed"):
+        assign_over_under(d)
 
 
 def test_assign_over_under_seeded_is_reproducible():
@@ -103,8 +131,8 @@ def test_assign_over_under_seeded_is_reproducible():
     a = assign_over_under(d, seed=5)
     b = assign_over_under(d, seed=5)
     c = assign_over_under(d, seed=6)
-    assert [x.over for x in a.crossings] == [x.over for x in b.crossings]
-    assert [x.over for x in a.crossings] != [x.over for x in c.crossings]
+    assert _edges_on_top(a) == _edges_on_top(b)
+    assert _edges_on_top(a) != _edges_on_top(c)
 
 
 def test_extract_gauss_needs_disjoint_components(n9):
@@ -124,15 +152,34 @@ def test_json_round_trip_preserves_crossings():
     d = assign_over_under(build_convex_diagram(complete_graph(6)), seed=3)
     back = diagram_from_json(diagram_to_json(d))
     assert back.crossing_count == d.crossing_count
-    assert [c.over for c in back.crossings] == [c.over for c in d.crossings]
+    assert _edges_on_top(back) == _edges_on_top(d)
     assert back.positions == d.positions
+
+
+# sha256 of diagram_to_json, recorded with the per-crossing over flags the
+# mask replaced; the JSON records of a mask must stay byte-identical
+JSON_PINS = {
+    "K6 seed 3": "5769c28f91e37119e0600291282ed067b4b73e42afcc1499f3f629766301dd81",
+    "D4ref mask 0b101100101": "43f9faf1291cdfd35f3f7fb0a3a3f7fc4e840ef43ca91b490a5cc245b217d918",
+}
+
+
+def test_json_matches_pins():
+    diagrams = {
+        "K6 seed 3": assign_over_under(build_convex_diagram(complete_graph(6)), seed=3),
+        "D4ref mask 0b101100101": assign_over_under(d4_reference_diagram(), 0b101100101),
+    }
+    for name, d in diagrams.items():
+        text = diagram_to_json(d)
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_PINS[name], name
+        assert diagram_to_json(diagram_from_json(text)) == text
 
 
 def test_random_knot_diagram_is_deterministic():
     d1, cyc1 = random_knot_diagram(seed=11)
     d2, cyc2 = random_knot_diagram(seed=11)
     assert cyc1 == cyc2
-    assert [c.over for c in d1.crossings] == [c.over for c in d2.crossings]
+    assert extract_gauss(d1, [cyc1]) == extract_gauss(d2, [cyc2])
     assert 2 <= d1.crossing_count <= 16
 
 
@@ -166,10 +213,11 @@ def _geometric_gauss(d, comps):
         passages = []
         for cid, side in seq:
             c = d.crossings[cid]
+            over = "b" if d.mask >> cid & 1 else "a"
             da = (c.dir_a[0] * walk_dirs[c.edge_a], c.dir_a[1] * walk_dirs[c.edge_a])
             db = (c.dir_b[0] * walk_dirs[c.edge_b], c.dir_b[1] * walk_dirs[c.edge_b])
-            d_over, d_under = (da, db) if c.over == "a" else (db, da)
-            passages.append(Passage(cid, side == c.over, 1 if _cross(d_over, d_under) > 0 else -1))
+            d_over, d_under = (da, db) if over == "a" else (db, da)
+            passages.append(Passage(cid, side == over, 1 if _cross(d_over, d_under) > 0 else -1))
         out.append(tuple(passages))
     return GaussLink(tuple(out))
 

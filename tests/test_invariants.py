@@ -63,6 +63,16 @@ def test_conway_polynomial_on_references():
     assert conway_polynomial(fixture("Fig8")) == {0: 1, 2: -1}
 
 
+def test_conway_polynomial_skein_guard():
+    # an unknot with one kink per crossing: 24 pass, 25 trip the guard
+    def kinks(n):
+        return parse_gauss(" ".join(f"c{i}o+ c{i}u+" for i in range(1, n + 1)))
+
+    assert conway_polynomial(kinks(24)) == {0: 1}
+    with pytest.raises(GraphError, match="skein guard"):
+        conway_polynomial(kinks(25))
+
+
 def test_poly_str():
     assert poly_str({0: 1, 2: 1}) == "1 + z^2"
     assert poly_str({}) == "0"
@@ -78,7 +88,7 @@ def test_a2_matches_conway_quadratic_coefficient_on_references():
 def test_a2_matches_conway_on_sampled_knots():
     for seed in range(15):
         d, cycle = random_knot_diagram(seed=seed, max_crossings=10)
-        k = extract_gauss(d, cycle)
+        k = extract_gauss(d, [cycle])
         assert a2(k) == conway_polynomial(k).get(2, 0), seed
 
 
@@ -158,4 +168,4 @@ def test_dichotomy_witness_deterministic_case(n9):
 def test_cycle_a2_agrees_with_extraction(n9):
     d = assign_over_under(build_convex_diagram(n9), seed=4)
     cyc = parse_cycle(n9, "[1 3 5 8 2 4 6]")
-    assert cycle_a2(d, cyc) == a2(extract_gauss(d, cyc))
+    assert cycle_a2(d, cyc) == a2(extract_gauss(d, [cyc]))
