@@ -16,9 +16,11 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
+import networkx as nx
+
 from .canon import canonical_form
 from .cycles import MinorModel
-from .exchange import ClosureResult, annotate_flags, closure, delta_y, triangles
+from .exchange import ClosureResult, closure
 from .invariants import GaussLink, gauss_link
 from .multigraph import (
     ContractEdge,
@@ -148,22 +150,19 @@ def fixture_names() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def petersen_family() -> ClosureResult:
-    seed = fixture("K6")
-    result = annotate_flags(closure(seed), seed)
+    result = closure(fixture("K6"))
     return _named(result, _petersen_names(result))
 
 
 @lru_cache(maxsize=None)
 def heawood_family() -> ClosureResult:
-    seed = fixture("K7")
-    result = annotate_flags(closure(seed), seed)
+    result = closure(fixture("K7"))
     return _named(result, _heawood_names(result))
 
 
 @lru_cache(maxsize=None)
 def k3311_family() -> ClosureResult:
-    seed = fixture("K3311")
-    return annotate_flags(closure(seed), seed)
+    return closure(fixture("K3311"))
 
 
 # certificate hex -> (name, heuristic_name)
@@ -212,7 +211,8 @@ def _petersen_names(result: ClosureResult) -> _Names:
         else:
             names[rec.certificate.hex] = ("Y7", True)
     for rec in groups[8]:
-        names[rec.certificate.hex] = ("K44me" if _is_bipartite(rec.graph) else "P8", False)
+        bipartite = nx.is_bipartite(nx.Graph([(u, v) for _, u, v in rec.graph.edges]))
+        names[rec.certificate.hex] = ("K44me" if bipartite else "P8", False)
     names[groups[9][0].certificate.hex] = ("P9", False)
     names[groups[10][0].certificate.hex] = ("P10", False)
     return names
@@ -230,18 +230,21 @@ def _heawood_names(result: ClosureResult) -> _Names:
 
     non_ik = [r for r in result.records if not r.dy_only_reachable]
 
-    def dy_children(g):
-        return {canonical_form(delta_y(g, t)).hex for t in triangles(g)}
+    def dy_children(rec):
+        return {
+            tr.target.hex for tr in result.transitions
+            if tr.move.kind == "dy" and tr.source == rec.certificate
+        }
 
     # unprimed series descends from the nine-vertex member, the primed one
     # from the ten-vertex fixture; the eleven-vertex child of the primed
     # branch is unique, which pins both names
-    n9_kids = dy_children(n9.graph)
+    n9_kids = dy_children(n9)
     tens = [r for r in non_ik if r.vertex_count == 10 and unnamed(r)]
     if len(tens) != 1 or tens[0].certificate.hex not in n9_kids:
         raise GraphError("ten-vertex non-reachable member structure unexpected")
     names[tens[0].certificate.hex] = ("N10", False)
-    np10_kids = dy_children(np10.graph)
+    np10_kids = dy_children(np10)
     elevens = [r for r in non_ik if r.vertex_count == 11]
     primed = [r for r in elevens if r.certificate.hex in np10_kids]
     if len(primed) != 1 or len(elevens) != 2:
@@ -272,26 +275,6 @@ def _heawood_names(result: ClosureResult) -> _Names:
         for rec, name in zip(todo, letter_names):
             names[rec.certificate.hex] = (name, ambiguous)
     return names
-
-
-def _is_bipartite(g: MultiGraph) -> bool:
-    color: dict[int, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for _, w in g.incident(v):
-                if w == v:
-                    return False
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
 
 
 # -- reduction scripts ----------------------------------------------------------

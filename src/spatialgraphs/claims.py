@@ -37,11 +37,11 @@ from .diagrams import (
     extract_gauss,
     random_knot_diagram,
 )
-from .exchange import closure
 from .invariants import (
     a2,
     alpha,
     conway_polynomial,
+    dichotomy_scope,
     dichotomy_witness,
     linking_number,
     lk_census,
@@ -134,12 +134,6 @@ def _seven_cycles(g) -> tuple:
     return tuple(sorted((c for c in all_cycles(g) if len(c) == 7), key=sorted))
 
 
-def _cycles_and_triples(g) -> tuple:
-    cycles = sorted(all_cycles(g), key=lambda c: (len(c), sorted(c)))
-    triples = sorted(disjoint_cycle_tuples(g, 3), key=lambda t: sorted(sorted(c) for c in t))
-    return cycles, triples
-
-
 def _parity_trial(census: Callable, run: TrialRun, i: int) -> dict:
     result = census(_assignment(run, i)[1], run.scope)
     return {"trial": i, "parity": result.parity, "odd_witnesses": len(result.odd)}
@@ -164,8 +158,7 @@ def _d4_trial(run: TrialRun, i: int) -> Optional[dict]:
 
 
 def _dichotomy_trial(run: TrialRun, i: int) -> dict:
-    cycles, triples = run.scope
-    w = dichotomy_witness(_assignment(run, i)[1], cycles=cycles, triples=triples)
+    w = dichotomy_witness(_assignment(run, i)[1], run.scope)
     if w is None:
         return {"trial": i, "kind": "none", "witness": ""}
     return {
@@ -190,7 +183,7 @@ CHECKS: dict[str, Check] = {
         "all_alpha_one", ("D4",), lambda g, seed: d4_reference_diagram(),
     ),
     "n9fn": Check(
-        _cycles_and_triples, _dichotomy_trial, lambda r: r["kind"] != "none", 200,
+        dichotomy_scope, _dichotomy_trial, lambda r: r["kind"] != "none", 200,
         "witness_every_trial", ("N9", "N'10"),
     ),
     "petersen-lk": Check(
@@ -252,12 +245,12 @@ def claim_petersen_family(trials, seed, jobs):
 
 def claim_heawood_family(trials, seed, jobs):
     fam = heawood_family()
-    dy_only = closure(fixture("K7"), moves=("dy",))
+    dy_only = sum(r.dy_only_reachable for r in fam.records)
     edge_ok = all(r.edge_count == 21 for r in fam.records)
-    ok = len(fam.records) == 20 and len(dy_only.records) == 14 and edge_ok
+    ok = len(fam.records) == 20 and dy_only == 14 and edge_ok
     return ok, {
         "classes": len(fam.records),
-        "triangle_to_star_only_classes": len(dy_only.records),
+        "triangle_to_star_only_classes": dy_only,
         "all_have_21_edges": edge_ok,
         "members": sorted(
             (r.name or "?", r.vertex_count) for r in fam.records
@@ -267,12 +260,12 @@ def claim_heawood_family(trials, seed, jobs):
 
 def claim_k3311_counts(trials, seed, jobs):
     full = k3311_family()
-    dy_only = closure(fixture("K3311"), moves=("dy",))
-    ok = len(dy_only.records) == 26 and len(full.records) == 58
+    dy_only = sum(r.dy_only_reachable for r in full.records)
+    ok = dy_only == 26 and len(full.records) == 58
     return ok, {
-        "triangle_to_star_only_classes": len(dy_only.records),
+        "triangle_to_star_only_classes": dy_only,
         "full_closure_classes": len(full.records),
-        "difference": len(full.records) - len(dy_only.records),
+        "difference": len(full.records) - dy_only,
     }
 
 

@@ -18,7 +18,7 @@ from . import __version__
 from .canon import canonical_form
 from .catalog import fixture, fixture_names, petersen_family
 from .claims import CHECKS, CLAIMS, run_claim, run_trials
-from .exchange import annotate_flags, closure, write_manifest
+from .exchange import closure, write_manifest
 from .invariants import GaussLink, format_gauss
 from .multigraph import GraphError, parse_edge_list
 
@@ -138,9 +138,6 @@ def _render(node, depth: int) -> None:
 
 def cmd_families(args) -> int:
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
-    for m in moves:
-        if m not in ("dy", "yd"):
-            raise GraphError(f"unknown move {m!r}")
     if args.seed in _FAMILY_SEEDS and moves == ("dy", "yd"):
         from .catalog import heawood_family, k3311_family
 
@@ -150,8 +147,7 @@ def cmd_families(args) -> int:
             "K3311": k3311_family,
         }[args.seed]()
     else:
-        seed_graph = _load_graph(args.seed)
-        result = annotate_flags(closure(seed_graph, moves=moves), seed_graph)
+        result = closure(_load_graph(args.seed), moves)
     members = [
         {
             "name": rec.name,

@@ -292,42 +292,49 @@ def assign_over_under(
 
 
 def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
-    """(smallest vertex, passages) of a cycle, computed once per projection.
+    """(smallest vertex, passages, vertex mask) of a cycle, computed once per
+    projection.
 
     The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
     with walk_dir +1 when eid is walked from stored u to stored v and side
     1 when eid is the crossing's edge_b; none of it depends on the mask.
+    Bit v of the vertex mask is set when the cycle passes through vertex v.
     """
     memo = d._walks.get(cycle)
     if memo is None:
         walk = cycle_walk(d.graph, cycle)
         passages = []
+        vertices = 0
         for tail, eid in walk:
+            vertices |= 1 << tail
             forward = d.graph.endpoints(eid)[0] == tail
             per = d._per_edge[eid]
             for _, cid, side in per if forward else reversed(per):
                 c = d.crossings[cid]
                 other = c.edge_a if side else c.edge_b
                 passages.append((eid, 1 if forward else -1, cid, side, other))
-        memo = d._walks[cycle] = (walk[0][0], tuple(passages))
+        memo = d._walks[cycle] = (walk[0][0], tuple(passages), vertices)
     return memo
 
 
 def extract_gauss(d: SpatialDiagram, components: Iterable[Cycle]) -> GaussLink:
     """Gauss code of the sub-diagram spanned by disjoint cycles of d's graph.
 
-    Crossings where only one strand belongs to the chosen cycles are not
-    passages.  Crossing signs follow the right-handed convention: +1 when
-    the under direction is a positive quarter turn of the over direction.
+    Components that share a vertex, and so any that share an edge, raise
+    GraphError.  Crossings where only one strand belongs to the chosen
+    cycles are not passages.  Crossing signs follow the right-handed
+    convention: +1 when the under direction is a positive quarter turn of
+    the over direction.
     """
     comps = [frozenset(c) for c in components]
     walks = {c: _walk(d, c) for c in comps}
     comps = sorted(comps, key=lambda c: (walks[c][0], sorted(c)))
-    all_eids = set()
+    seen = 0
     for c in comps:
-        if all_eids & c:
-            raise GraphError("components share edges")
-        all_eids |= c
+        if seen & walks[c][2]:
+            raise GraphError("components share a vertex")
+        seen |= walks[c][2]
+    all_eids = set().union(*comps)
 
     walk_dirs = {eid: w for c in comps for eid, w, _, _, _ in walks[c][1]}
     out_components = []

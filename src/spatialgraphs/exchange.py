@@ -3,7 +3,10 @@
 ``delta_y`` replaces a triangle by a new degree-3 vertex, ``y_delta`` does
 the reverse.  ``closure`` explores everything reachable from a seed graph
 under a chosen move set, deduplicating by canonical form and remembering one
-shortest discovery path per isomorphism class.
+shortest discovery path per isomorphism class.  It is also the one place
+that sets each member's two flags: whether the member is reachable from the
+seed by triangle-to-star moves alone, read off that path, and whether it
+has no three pairwise disjoint cycles.
 
 Star-to-triangle needs a convention when two neighbors of the degree-3
 vertex are already adjacent (the new triangle edge would collapse with the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -123,9 +126,9 @@ class FamilyRecord:
     certificate: Certificate
     graph: MultiGraph
     provenance: tuple[Move, ...]
+    dy_only_reachable: bool
+    gamma3_empty: bool
     name: Optional[str] = None
-    dy_only_reachable: Optional[bool] = None
-    gamma3_empty: Optional[bool] = None
     heuristic_name: bool = False
 
     @property
@@ -158,9 +161,6 @@ class ClosureResult:
     def by_certificate(self) -> dict[str, FamilyRecord]:
         return {r.certificate.hex: r for r in self.records}
 
-    def certificates(self) -> frozenset[str]:
-        return frozenset(r.certificate.hex for r in self.records)
-
 
 def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureResult:
     """Breadth-first exchange closure of a seed graph.
@@ -173,15 +173,26 @@ def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureRes
     first discovery path from the seed.  Every attempted move is logged as a
     transition between certificates, including moves whose target was
     already known.
+
+    Each record is flagged dy_only_reachable when its discovery path is
+    made of "dy" moves alone.  That path is a shortest one, and a "dy" move
+    adds a vertex while a "yd" move removes one, so a path to a member with
+    k more vertices than the seed has k moves plus two per "yd" move: the
+    shortest is all "dy" exactly when the member is in closure(seed,
+    moves=("dy",)).  Without "dy" only the seed is flagged.  gamma3_empty
+    is set from the member's own graph.
     """
     move_set = tuple(moves)
     for m in move_set:
         if m not in ("dy", "yd"):
             raise GraphError(f"unknown move kind {m!r}")
 
+    def record(cert, g, provenance):
+        dy_only = all(m.kind == "dy" for m in provenance)
+        return FamilyRecord(cert, g, provenance, dy_only, gamma3_empty(g))
+
     seed_cert = canonical_form(seed)
-    known: dict[bytes, FamilyRecord] = {}
-    known[seed_cert.blob] = FamilyRecord(seed_cert, seed, ())
+    known = {seed_cert.blob: record(seed_cert, seed, ())}
     queue = [known[seed_cert.blob]]
     transitions: list[Transition] = []
 
@@ -200,9 +211,8 @@ def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureRes
             cert = canonical_form(child)
             transitions.append(Transition(rec.certificate, move, cert))
             if cert.blob not in known:
-                child_rec = FamilyRecord(cert, child, rec.provenance + (move,))
-                known[cert.blob] = child_rec
-                queue.append(child_rec)
+                known[cert.blob] = record(cert, child, rec.provenance + (move,))
+                queue.append(known[cert.blob])
 
     records = tuple(sorted(
         known.values(), key=lambda r: (r.vertex_count, r.certificate.blob)
@@ -221,21 +231,6 @@ def replay_provenance(seed: MultiGraph, provenance: Iterable[Move]) -> MultiGrap
         else:
             raise GraphError(f"unknown move kind {move.kind!r}")
     return g
-
-
-def annotate_flags(result: ClosureResult, seed: MultiGraph) -> ClosureResult:
-    """A copy of the result with gamma3_empty and reachability-under-dy-only
-    filled in for each record."""
-    dy_certs = closure(seed, moves=("dy",)).certificates()
-    records = tuple(
-        replace(
-            rec,
-            dy_only_reachable=rec.certificate.hex in dy_certs,
-            gamma3_empty=gamma3_empty(rec.graph),
-        )
-        for rec in result.records
-    )
-    return replace(result, records=records)
 
 
 # -- manifest ----------------------------------------------------------------

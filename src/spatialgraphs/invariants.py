@@ -356,26 +356,32 @@ class DichotomyWitness:
     values: tuple[int, ...]
 
 
-def dichotomy_witness(d, cycles=None, triples=None) -> Optional[DichotomyWitness]:
+def dichotomy_scope(g) -> tuple[tuple, tuple]:
+    """The cycles and disjoint triples of g in the order dichotomy_witness
+    searches them: cycles by (length, edge ids), each triple's cycles by
+    edge ids and the triples by those lists."""
+    from .cycles import all_cycles, disjoint_cycle_tuples
+
+    cycles = tuple(sorted(all_cycles(g), key=lambda c: (len(c), sorted(c))))
+    triples = (tuple(sorted(t, key=sorted)) for t in disjoint_cycle_tuples(g, 3))
+    return cycles, tuple(sorted(triples, key=lambda t: [sorted(c) for c in t]))
+
+
+def dichotomy_witness(d, scope=None) -> Optional[DichotomyWitness]:
     """First knotted cycle (odd a2), else first triple of disjoint cycles
     with all pairwise linking numbers odd, else None.
 
-    Only rings true as a theorem check on the two fixture shapes; callers
-    that take graphs from outside check the shape first.
+    scope is (cycles, triples), searched in the order given; it defaults to
+    dichotomy_scope(d.graph).  Only rings true as a theorem check on the
+    two fixture shapes; callers that take graphs from outside check the
+    shape first.
     """
-    from .cycles import all_cycles, disjoint_cycle_tuples
-
-    g = d.graph
-    if cycles is None:
-        cycles = sorted(all_cycles(g), key=lambda c: (len(c), sorted(c)))
+    cycles, triples = dichotomy_scope(d.graph) if scope is None else scope
     for c in cycles:
         v = cycle_a2(d, c)
         if v % 2:
             return DichotomyWitness("knot", (c,), (v,))
-    if triples is None:
-        triples = disjoint_cycle_tuples(g, 3)
-    for t in sorted(triples, key=lambda t: sorted(sorted(c) for c in t)):
-        a, b, c = sorted(t, key=sorted)
+    for a, b, c in triples:
         vals = (pair_lk(d, a, b), pair_lk(d, a, c), pair_lk(d, b, c))
         if all(v % 2 for v in vals):
             return DichotomyWitness("link", (a, b, c), vals)

@@ -10,7 +10,8 @@ import pytest
 
 import spatialgraphs
 from spatialgraphs import claims, cli
-from spatialgraphs.multigraph import parse_edge_list
+from spatialgraphs.catalog import fixture
+from spatialgraphs.multigraph import format_edge_list, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -207,6 +208,18 @@ PINNED_REPORTS = {
 # sha256 of the manifest.json written by `families --seed K6 --out`
 PINNED_K6_MANIFEST = "7d89872b20723568e8d6d3953d13727dafd7a186cd097f35e27ae2b6ef2b5b2c"
 
+# sha256 of the stdout of `families` runs outside the cached catalog
+# families, and of the manifest written for an edge-list file of N9 (the
+# report would carry the file's path), recorded while the flags came from a
+# separate triangle-to-star-only closure
+PINNED_FAMILIES = {
+    "families --seed K7 --moves dy --format json":
+        "5c3589d5a3cd6ff2bb90dce1e6d9f73fd595f5f7cdf2fb951df7d865b40bde0f",
+    "families --seed K6 --moves yd --format json":
+        "596070df76cae10b26052bfddc034782f47201478be8dc1e0689e0a017db1c57",
+}
+PINNED_N9_FILE_MANIFEST = "93a3cff3ca617622d37c9a080a0dc73fe519d67c1b13d5bf751512b1df854243"
+
 
 @pytest.mark.parametrize("call", sorted(PINNED_REPORTS))
 def test_reports_match_pins(capsys, call):
@@ -222,6 +235,22 @@ def test_manifest_matches_pin(capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
     assert digest == PINNED_K6_MANIFEST
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_FAMILIES))
+def test_families_match_pins(capsys, call):
+    code, out, _ = run(capsys, *call.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FAMILIES[call]
+
+
+def test_file_seed_manifest_matches_pin(capsys, tmp_path):
+    seed = tmp_path / "n9.edges"
+    seed.write_text(format_edge_list(fixture("N9")))
+    code, _, _ = run(capsys, "families", "--seed", str(seed), "--out", str(tmp_path / "fam"))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "fam" / "manifest.json").read_bytes()).hexdigest()
+    assert digest == PINNED_N9_FILE_MANIFEST
 
 
 @pytest.mark.parametrize("argv", [

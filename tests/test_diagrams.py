@@ -144,8 +144,14 @@ def test_extract_gauss_needs_disjoint_components(n9):
     shares_an_edge = parse_cycle(n9, "[1 2 6]")
     link = extract_gauss(d, [tri1, tri2])
     link.validate()
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError):
         extract_gauss(d, [tri1, shares_an_edge])
+    # two triangles through one vertex share no edge, and have no linking
+    # number either
+    k6 = complete_graph(6)
+    d = assign_over_under(build_convex_diagram(k6), seed=1)
+    with pytest.raises(GraphError):
+        extract_gauss(d, [parse_cycle(k6, "[1 2 3]"), parse_cycle(k6, "[1 4 5]")])
 
 
 def test_json_round_trip_preserves_crossings():

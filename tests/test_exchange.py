@@ -1,11 +1,13 @@
 """Triangle-star exchanges and closure under them."""
 
+import functools
 import json
 
 import pytest
 
 from spatialgraphs.canon import is_isomorphic
 from spatialgraphs.catalog import family_member, fixture
+from spatialgraphs.cycles import gamma3_empty
 from spatialgraphs.exchange import (
     ExchangeSiteError,
     _triangle_edges,
@@ -91,6 +93,33 @@ def test_closure_of_k6():
 def test_closure_dy_only_is_smaller():
     res = closure(complete_graph(7), moves=("dy",))
     assert len(res.records) == 14
+
+
+def _flag_seed(name):
+    return complete_graph(5) if name == "K5" else fixture(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _dy_only_certificates(name):
+    return {r.certificate.hex for r in closure(_flag_seed(name), moves=("dy",)).records}
+
+
+@pytest.mark.parametrize("moves", [("dy", "yd"), ("dy",), ("yd",)])
+@pytest.mark.parametrize("seed", ["K6", "K7", "K3311", "N9", "K5"])
+def test_closure_flags_match_separate_searches(seed, moves):
+    # the flags one closure sets from its discovery paths agree with a
+    # separate triangle-to-star-only closure and with each member's cycles
+    res = closure(_flag_seed(seed), moves)
+    dy_only = _dy_only_certificates(seed)
+    flagged = {r.certificate.hex for r in res.records if r.dy_only_reachable}
+    assert flagged == dy_only & set(res.by_certificate())
+    if "dy" in moves:
+        assert flagged == dy_only
+    else:
+        assert flagged == {res.seed_certificate.hex}
+    for rec in res.records:
+        assert isinstance(rec.dy_only_reachable, bool)
+        assert rec.gamma3_empty is gamma3_empty(rec.graph)
 
 
 def test_closure_records_replayable_provenance():
