@@ -142,8 +142,10 @@ class SpatialDiagram:
         # over/under: bit i set puts the edge_b strand of crossing i on top
         self.mask = 0
         # mask-independent data, shared by every over/under clone: the sign
-        # of cross(dir_a, dir_b) per crossing, and _walk's memo per cycle
+        # of cross(dir_a, dir_b) per crossing, one bit per vertex by its
+        # position (labels may be negative or huge), and _walk's memo per cycle
         self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
+        self._vertex_bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
         self._walks: dict[Cycle, tuple] = {}
 
     # -- geometry ------------------------------------------------------------
@@ -298,7 +300,7 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
     with walk_dir +1 when eid is walked from stored u to stored v and side
     1 when eid is the crossing's edge_b; none of it depends on the mask.
-    Bit v of the vertex mask is set when the cycle passes through vertex v.
+    The vertex mask ors the _vertex_bit of every vertex the cycle passes.
     """
     memo = d._walks.get(cycle)
     if memo is None:
@@ -306,7 +308,7 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
         passages = []
         vertices = 0
         for tail, eid in walk:
-            vertices |= 1 << tail
+            vertices |= d._vertex_bit[tail]
             forward = d.graph.endpoints(eid)[0] == tail
             per = d._per_edge[eid]
             for _, cid, side in per if forward else reversed(per):

@@ -11,7 +11,7 @@ import pytest
 import spatialgraphs
 from spatialgraphs import claims, cli
 from spatialgraphs.catalog import fixture
-from spatialgraphs.multigraph import format_edge_list, parse_edge_list
+from spatialgraphs.multigraph import complete_graph, format_edge_list, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -251,6 +251,21 @@ def test_file_seed_manifest_matches_pin(capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "fam" / "manifest.json").read_bytes()).hexdigest()
     assert digest == PINNED_N9_FILE_MANIFEST
+
+
+@pytest.mark.parametrize("labels", [
+    [-6, -5, -4, -3, -2, -1],
+    [10**12 + i for i in range(6)],
+], ids=["negative", "large"])
+def test_spatial_takes_any_vertex_labels(capsys, tmp_path, labels):
+    graph = tmp_path / "k6.edges"
+    graph.write_text(format_edge_list(complete_graph(6, labels)))
+    code, out, err = run(capsys, "spatial", "--graph", str(graph), "--check", "cg-k6",
+                         "--trials", "3", "--seed", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["result"] == "PASS"
+    assert report["evidence"]["verdict"]["trials"] == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -154,6 +154,30 @@ def test_extract_gauss_needs_disjoint_components(n9):
         extract_gauss(d, [parse_cycle(k6, "[1 2 3]"), parse_cycle(k6, "[1 4 5]")])
 
 
+@pytest.mark.parametrize("labels", [
+    [-6, -5, -4, -3, -2, -1],
+    [10**12 + i for i in range(6)],
+], ids=["negative", "large"])
+def test_extract_gauss_takes_any_vertex_labels(labels):
+    # labels come from edge-list files; the drawing and the disjointness
+    # check depend only on their order, so K6 labelled in the order of
+    # 1..6 gives the same linking numbers
+    from spatialgraphs.cycles import parse_cycle
+    from spatialgraphs.invariants import linking_number
+
+    def lk(g, names, *triangles):
+        d = assign_over_under(build_convex_diagram(g), seed=1)
+        cycles = [parse_cycle(g, "[%s]" % " ".join(str(names[v - 1]) for v in t))
+                  for t in triangles]
+        return linking_number(extract_gauss(d, cycles))
+
+    k6 = complete_graph(6, labels)
+    for pair in (((1, 2, 3), (4, 5, 6)), ((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))):
+        assert lk(k6, labels, *pair) == lk(complete_graph(6), range(1, 7), *pair)
+    with pytest.raises(GraphError):
+        lk(k6, labels, (1, 2, 3), (1, 4, 5))
+
+
 def test_json_round_trip_preserves_crossings():
     d = assign_over_under(build_convex_diagram(complete_graph(6)), seed=3)
     back = diagram_from_json(diagram_to_json(d))
