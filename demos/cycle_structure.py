@@ -30,6 +30,6 @@ for name, g in rows:
 
 # one concrete triple: the three vertex-classes of the nine-vertex fixture
 n9 = fixture("N9")
-triple = min(disjoint_cycle_tuples(n9, 3), key=lambda t: sorted(map(sorted, t)))
+triple = disjoint_cycle_tuples(n9, 3)[0]
 print()
 print("a disjoint triple in N9:", " ".join(sorted(format_cycle(n9, c) for c in triple)))

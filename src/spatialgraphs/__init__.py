@@ -48,7 +48,6 @@ from .invariants import (
     conway_polynomial,
     dichotomy_witness,
     format_gauss,
-    gauss_link,
     linking_number,
     parse_gauss,
     poly_str,

@@ -21,7 +21,7 @@ import networkx as nx
 from .canon import canonical_form
 from .cycles import MinorModel
 from .exchange import ClosureResult, closure
-from .invariants import GaussLink, gauss_link
+from .invariants import GaussLink, parse_gauss
 from .multigraph import (
     ContractEdge,
     DeleteEdge,
@@ -94,27 +94,17 @@ def _petersen_reference() -> MultiGraph:
 
 
 def _hopf() -> GaussLink:
-    return gauss_link(
-        [(1, "o", 1), (2, "u", 1)],
-        [(1, "u", 1), (2, "o", 1)],
-    )
+    return parse_gauss("c1o+ c2u+ / c1u+ c2o+")
 
 
 def _trefoil() -> GaussLink:
-    return gauss_link(
-        [(1, "o", 1), (2, "u", 1), (3, "o", 1), (1, "u", 1), (2, "o", 1), (3, "u", 1)]
-    )
+    return parse_gauss("c1o+ c2u+ c3o+ c1u+ c2o+ c3u+")
 
 
 def _figure_eight() -> GaussLink:
     # standard alternating four-crossing code; tests pin its Conway
     # polynomial to 1 - z^2 via the skein evaluator
-    return gauss_link(
-        [
-            (1, "u", -1), (2, "o", -1), (3, "u", 1), (4, "o", 1),
-            (2, "u", -1), (1, "o", -1), (4, "u", 1), (3, "o", 1),
-        ]
-    )
+    return parse_gauss("c1u- c2o- c3u+ c4o+ c2u- c1o- c4u+ c3o+")
 
 
 _FIXTURES = {

@@ -126,12 +126,11 @@ def _assignment(run: TrialRun, i: int) -> tuple[int, SpatialDiagram]:
 
 
 def _disjoint_pairs(g) -> tuple:
-    pairs = (tuple(sorted(p, key=sorted)) for p in disjoint_cycle_tuples(g, 2))
-    return tuple(sorted(pairs, key=lambda p: [sorted(c) for c in p]))
+    return disjoint_cycle_tuples(g, 2)
 
 
 def _seven_cycles(g) -> tuple:
-    return tuple(sorted((c for c in all_cycles(g) if len(c) == 7), key=sorted))
+    return tuple(c for c in all_cycles(g) if len(c) == 7)
 
 
 def _parity_trial(census: Callable, run: TrialRun, i: int) -> dict:
@@ -488,10 +487,7 @@ def claim_d4_lemma(trials, seed, jobs):
     alpha_failures = _failures("d4-lemma", rows, "assignment")
     host = fixture("N9")
     model = d4_in_n9_model()
-    lifted = [
-        tuple(sorted((lift_cycle(model, a), lift_cycle(model, b)), key=sorted))
-        for a, b in run.scope
-    ]
+    lifted = [(lift_cycle(model, a), lift_cycle(model, b)) for a, b in run.scope]
     samples = 20 if trials is None else trials
     alphas = _map_trials(_d4_host_trial, (seed, host, model, lifted), samples, jobs)
     host_both_odd = sum(1 for v in alphas if v is not None)

@@ -138,7 +138,7 @@ def _render(node, depth: int) -> None:
 
 def cmd_families(args) -> int:
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
-    if args.seed in _FAMILY_SEEDS and moves == ("dy", "yd"):
+    if args.seed in _FAMILY_SEEDS and set(moves) == {"dy", "yd"}:
         from .catalog import heawood_family, k3311_family
 
         result = {

@@ -5,12 +5,17 @@ copies distinct cycles, lets loops (one edge) and doubled edges (two edges)
 count as cycles, and keeps every representation stable under deletions and
 contractions of other edges.
 
+This module alone decides the order of cycles: ``all_cycles`` sorts them
+by their sorted edge ids, and ``disjoint_cycle_tuples`` lists each tuple's
+cycles, and the tuples, in that order.  Callers use both as given.
+
 Beyond plain enumeration this module implements
 
 * ``cycle_walk``: the one walk around a cycle, shared by cycle formatting,
   cycle lifting and Gauss code extraction,
-* ``disjoint_cycle_tuples``: unordered n-tuples of pairwise vertex-disjoint
-  cycles,
+* ``vertex_masks``: the vertex set of a cycle as an int bit mask, shared by
+  the disjoint-cycle search and Gauss code extraction,
+* ``disjoint_cycle_tuples``: n-tuples of pairwise vertex-disjoint cycles,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
   the host graph (injective; branch set paths chosen shortest, ties to the
   smallest vertex id),
@@ -28,11 +33,12 @@ from typing import Iterable, Iterator, Mapping
 from .multigraph import MultiGraph, UnknownEdgeError, GraphError
 
 Cycle = frozenset[int]
-CycleTuple = frozenset[Cycle]
+CycleTuple = tuple[Cycle, ...]
 
 
-def all_cycles(g: MultiGraph) -> frozenset[Cycle]:
-    """Every cycle of g: loops, parallel pairs, and vertex cycles >= 3."""
+def all_cycles(g: MultiGraph) -> tuple[Cycle, ...]:
+    """Every cycle of g: loops, parallel pairs, and vertex cycles >= 3,
+    sorted by their sorted edge ids."""
     found: set[Cycle] = set()
     for eid, u, v in g.edges:
         if u == v:
@@ -61,7 +67,7 @@ def all_cycles(g: MultiGraph) -> frozenset[Cycle]:
                 if w in on_path:
                     continue
                 stack.append((w, path_edges + [eid], on_path | {w}))
-    return frozenset(found)
+    return tuple(sorted(found, key=sorted))
 
 
 def cycle_vertices(g: MultiGraph, cycle: Cycle) -> frozenset[int]:
@@ -181,13 +187,18 @@ def parse_cycle(g: MultiGraph, text: str) -> Cycle:
     return frozenset(ids)
 
 
-def _support_masks(g: MultiGraph, cycles: list[Cycle]) -> list[int]:
-    index = {v: i for i, v in enumerate(g.vertices)}
+def vertex_masks(g: MultiGraph, cycles: Iterable[Cycle]) -> list[int]:
+    """One int per cycle, with bit i set when the cycle passes g.vertices[i].
+
+    Bits follow vertex positions, not labels, so any integer labels work.
+    """
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     masks = []
     for c in cycles:
         m = 0
-        for v in cycle_vertices(g, c):
-            m |= 1 << index[v]
+        for eid in c:
+            u, v = g.endpoints(eid)
+            m |= bit[u] | bit[v]
         masks.append(m)
     return masks
 
@@ -202,36 +213,46 @@ def _min_cycle_support(g: MultiGraph) -> int:
 
 
 def _disjoint_cycle_search(g: MultiGraph, n: int) -> Iterator[CycleTuple]:
-    """Each unordered n-set of pairwise vertex-disjoint cycles of g, once."""
+    """Each n-set of pairwise vertex-disjoint cycles of g, once, as a tuple
+    in all_cycles order; the tuples come in lexicographic order."""
     if n < 1:
         raise GraphError("n must be >= 1")
     if g.vertex_count < n * _min_cycle_support(g):
         return
-    cycles = sorted(all_cycles(g), key=sorted)
-    masks = _support_masks(g, cycles)
-    chosen: list[int] = []
-
-    def grow(start: int, used: int) -> Iterator[CycleTuple]:
-        if len(chosen) == n:
-            yield frozenset(cycles[i] for i in chosen)
-            return
-        for i in range(start, len(cycles)):
-            if masks[i] & used:
-                continue
-            chosen.append(i)
-            yield from grow(i + 1, used | masks[i])
-            chosen.pop()
-
-    yield from grow(0, 0)
+    cycles = all_cycles(g)
+    for chosen in _disjoint_indices(vertex_masks(g, cycles), n, 0, 0):
+        yield tuple(cycles[i] for i in chosen)
 
 
-def disjoint_cycle_tuples(g: MultiGraph, n: int) -> frozenset[CycleTuple]:
-    """Unordered n-sets of pairwise vertex-disjoint cycles of g."""
-    return frozenset(_disjoint_cycle_search(g, n))
+def _disjoint_indices(
+    masks: list[int], n: int, start: int, used: int
+) -> Iterator[tuple[int, ...]]:
+    """Increasing index n-tuples from start on, in lexicographic order, of
+    masks disjoint from used and from each other."""
+    # a module function, not a closure that calls itself: such a closure is
+    # a reference cycle, which would keep the search's cycles alive until
+    # the garbage collector runs
+    for i in range(start, len(masks)):
+        if masks[i] & used:
+            continue
+        if n == 1:
+            yield (i,)
+        else:
+            for rest in _disjoint_indices(masks, n - 1, i + 1, used | masks[i]):
+                yield (i, *rest)
+
+
+def disjoint_cycle_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
+    """The n-tuples of pairwise vertex-disjoint cycles of g.
+
+    Each tuple lists its cycles in all_cycles order, and the tuples are
+    sorted lexicographically by those lists.
+    """
+    return tuple(_disjoint_cycle_search(g, n))
 
 
 def has_disjoint_cycles(g: MultiGraph, n: int) -> bool:
-    """Short-circuiting version of ``disjoint_cycle_tuples(g, n) != {}``."""
+    """Short-circuiting version of ``disjoint_cycle_tuples(g, n) != ()``."""
     return next(_disjoint_cycle_search(g, n), None) is not None
 
 
@@ -380,10 +401,11 @@ def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
 
 def lift_cycles(
     model: MinorModel, tuples: Iterable[CycleTuple]
-) -> dict[CycleTuple, CycleTuple]:
-    """Lift whole tuples; raises if two inputs collide (the map is injective)."""
-    out: dict[CycleTuple, CycleTuple] = {}
-    seen: dict[CycleTuple, CycleTuple] = {}
+) -> dict[CycleTuple, frozenset[Cycle]]:
+    """Lift whole tuples to sets of host cycles; raises if two inputs
+    collide (the map is injective)."""
+    out: dict[CycleTuple, frozenset[Cycle]] = {}
+    seen: dict[frozenset[Cycle], CycleTuple] = {}
     for t in tuples:
         image = frozenset(lift_cycle(model, c) for c in t)
         if len(image) != len(t):
@@ -401,15 +423,15 @@ def lift_cycles(
 @dataclass
 class PhiResult:
     exchanged: MultiGraph          # the triangle-to-star exchange of the input
-    mapping: dict[CycleTuple, CycleTuple]
-    fibers: dict[CycleTuple, tuple[CycleTuple, ...]]
+    mapping: dict[CycleTuple, frozenset[Cycle]]
+    fibers: dict[frozenset[Cycle], tuple[CycleTuple, ...]]
     surjective: bool
     max_fiber: int
 
 
 @lru_cache(maxsize=8)
-def _phi_domain_tuples(g: MultiGraph, n: int) -> frozenset[CycleTuple]:
-    # one graph's triangles share a domain; the frozenset is immutable
+def _phi_domain_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
+    # one graph's triangles share a domain; the tuple is immutable
     return disjoint_cycle_tuples(g, n)
 
 
@@ -431,10 +453,8 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
             other = u if v == x else v
             star_eid[other] = eid
 
-    domain = sorted(_phi_domain_tuples(g, n), key=lambda t: sorted(map(sorted, t)))
-    codomain = disjoint_cycle_tuples(gy, n)
-    mapping: dict[CycleTuple, CycleTuple] = {}
-    for t in domain:
+    mapping: dict[CycleTuple, frozenset[Cycle]] = {}
+    for t in _phi_domain_tuples(g, n):
         if tri_set <= frozenset().union(*t):
             continue
         image = []
@@ -455,10 +475,10 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
             image.append(part)
         mapping[t] = frozenset(image)
 
-    fibers: dict[CycleTuple, list[CycleTuple]] = {}
+    fibers: dict[frozenset[Cycle], list[CycleTuple]] = {}
     for t, img in mapping.items():
         fibers.setdefault(img, []).append(t)
     fib = {k: tuple(v) for k, v in fibers.items()}
-    surjective = set(fib) == codomain
+    surjective = set(fib) == set(map(frozenset, disjoint_cycle_tuples(gy, n)))
     max_fiber = max((len(v) for v in fib.values()), default=0)
     return PhiResult(gy, mapping, fib, surjective, max_fiber)

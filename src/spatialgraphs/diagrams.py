@@ -25,7 +25,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .cycles import Cycle, cycle_walk
+from .cycles import Cycle, cycle_walk, vertex_masks
 from .invariants import GaussLink, Passage
 from .multigraph import GraphError, MultiGraph
 
@@ -142,10 +142,8 @@ class SpatialDiagram:
         # over/under: bit i set puts the edge_b strand of crossing i on top
         self.mask = 0
         # mask-independent data, shared by every over/under clone: the sign
-        # of cross(dir_a, dir_b) per crossing, one bit per vertex by its
-        # position (labels may be negative or huge), and _walk's memo per cycle
+        # of cross(dir_a, dir_b) per crossing, and _walk's memo per cycle
         self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
-        self._vertex_bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
         self._walks: dict[Cycle, tuple] = {}
 
     # -- geometry ------------------------------------------------------------
@@ -300,22 +298,20 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
     with walk_dir +1 when eid is walked from stored u to stored v and side
     1 when eid is the crossing's edge_b; none of it depends on the mask.
-    The vertex mask ors the _vertex_bit of every vertex the cycle passes.
+    The vertex mask is the cycle's vertex_masks entry.
     """
     memo = d._walks.get(cycle)
     if memo is None:
         walk = cycle_walk(d.graph, cycle)
         passages = []
-        vertices = 0
         for tail, eid in walk:
-            vertices |= d._vertex_bit[tail]
             forward = d.graph.endpoints(eid)[0] == tail
             per = d._per_edge[eid]
             for _, cid, side in per if forward else reversed(per):
                 c = d.crossings[cid]
                 other = c.edge_a if side else c.edge_b
                 passages.append((eid, 1 if forward else -1, cid, side, other))
-        memo = d._walks[cycle] = (walk[0][0], tuple(passages), vertices)
+        memo = d._walks[cycle] = (walk[0][0], tuple(passages), vertex_masks(d.graph, [cycle])[0])
     return memo
 
 

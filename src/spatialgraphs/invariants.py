@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .multigraph import GraphError
 
@@ -89,16 +89,6 @@ def parse_gauss(text: str) -> GaussLink:
             cid, ou, sgn = m.groups()
             passages.append(Passage(int(cid), ou == "o", 1 if sgn == "+" else -1))
         comps.append(tuple(passages))
-    link = GaussLink(tuple(comps))
-    link.validate()
-    return link
-
-
-def gauss_link(*component_specs: Sequence[tuple[int, str, int]]) -> GaussLink:
-    """Build a link from (crossing, 'o'|'u', sign) triples per component."""
-    comps = []
-    for spec in component_specs:
-        comps.append(tuple(Passage(c, ou == "o", s) for c, ou, s in spec))
     link = GaussLink(tuple(comps))
     link.validate()
     return link
@@ -328,7 +318,8 @@ def a2_census(d, cycles: Iterable) -> Census:
 
 
 def lk_census(d, pairs: Iterable) -> Census:
-    items = [tuple(sorted(p, key=sorted)) for p in pairs]
+    """Linking numbers of the pairs, in the order given."""
+    items = list(pairs)
     values = tuple(pair_lk(d, a, b) for a, b in items)
     odd = tuple(p for p, v in zip(items, values) if v % 2)
     return Census(sum(values) % 2, values, odd)
@@ -358,13 +349,11 @@ class DichotomyWitness:
 
 def dichotomy_scope(g) -> tuple[tuple, tuple]:
     """The cycles and disjoint triples of g in the order dichotomy_witness
-    searches them: cycles by (length, edge ids), each triple's cycles by
-    edge ids and the triples by those lists."""
+    searches them: cycles by length, then in all_cycles order, and the
+    triples in disjoint_cycle_tuples order."""
     from .cycles import all_cycles, disjoint_cycle_tuples
 
-    cycles = tuple(sorted(all_cycles(g), key=lambda c: (len(c), sorted(c))))
-    triples = (tuple(sorted(t, key=sorted)) for t in disjoint_cycle_tuples(g, 3))
-    return cycles, tuple(sorted(triples, key=lambda t: [sorted(c) for c in t]))
+    return tuple(sorted(all_cycles(g), key=len)), disjoint_cycle_tuples(g, 3)
 
 
 def dichotomy_witness(d, scope=None) -> Optional[DichotomyWitness]:

@@ -55,10 +55,17 @@ def test_families_manifest_output(capsys, tmp_path):
 
 
 def test_families_json_format(capsys):
-    code, out, _ = run(capsys, "families", "--seed", "K6", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["members"]) == 7
+    names = {}
+    for moves in ("dy,yd", "yd,dy"):
+        code, out, _ = run(capsys, "families", "--seed", "K6", "--moves", moves, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["members"]) == 7
+        assert payload["moves"] == moves.split(",")
+        names[moves] = [m["name"] for m in payload["members"]]
+    # the move set names the catalog family in either order
+    assert names["yd,dy"] == names["dy,yd"]
+    assert None not in names["dy,yd"]
 
 
 def test_verify_list(capsys):

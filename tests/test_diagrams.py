@@ -254,9 +254,7 @@ def _geometric_gauss(d, comps):
 
 def _scope_items(g):
     """Every cycle alone and every disjoint pair, in a fixed order."""
-    cycles = [[c] for c in sorted(all_cycles(g), key=sorted)]
-    pairs = sorted(disjoint_cycle_tuples(g, 2), key=lambda p: sorted(map(sorted, p)))
-    return cycles + [list(p) for p in pairs]
+    return [[c] for c in all_cycles(g)] + [list(p) for p in disjoint_cycle_tuples(g, 2)]
 
 
 @functools.cache

@@ -1,7 +1,8 @@
 """Planarity and k-apex testing."""
 
 from spatialgraphs.catalog import family_member, fixture
-from spatialgraphs.multigraph import complete_graph, delete_vertex, from_pairs
+from spatialgraphs.minors import has_minor
+from spatialgraphs.multigraph import complete_graph, delete_edge, delete_vertex, from_pairs
 from spatialgraphs.planarity import (
     all_proper_minors_2apex,
     apex_witness,
@@ -16,6 +17,20 @@ def test_planar_basics():
     k33 = from_pairs([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
     assert not is_planar(k33)
     assert not is_planar(fixture("PetersenRef"))
+
+
+def test_planarity_matches_wagner():
+    k5 = complete_graph(5)
+    k33 = from_pairs([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+    octahedron = from_pairs([(a, b) for a in range(1, 7) for b in range(a + 1, 7) if b != a + 3])
+    cube = from_pairs([(a, a ^ 1 << k) for a in range(8) for k in range(3) if a < a ^ 1 << k])
+    wagner = from_pairs([(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    graphs = [
+        complete_graph(4), k5, k33, delete_edge(k5, k5.edge_ids()[0]),
+        delete_edge(k33, k33.edge_ids()[0]), octahedron, cube, wagner,
+    ]
+    for g in graphs:
+        assert is_planar(g) == (has_minor(g, k5) is None and has_minor(g, k33) is None)
 
 
 def test_planar_handles_multigraphs():
