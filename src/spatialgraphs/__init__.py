@@ -16,7 +16,6 @@ from .cycles import (
     has_disjoint_cycles,
     parse_cycle,
     phi_map,
-    z2_decompose,
 )
 from .diagrams import (
     GenericityError,

@@ -40,6 +40,7 @@ from .diagrams import (
 from .invariants import (
     a2,
     alpha,
+    alpha_scope,
     conway_polynomial,
     dichotomy_scope,
     dichotomy_witness,
@@ -108,7 +109,7 @@ class TrialRun:
 class Check:
     """A sampled check: a fixed projection, many over/under assignments."""
 
-    scope: Callable[..., tuple]  # graph -> ordered pairs, cycles or triples
+    scope: Callable[..., tuple]  # graph -> ordered pairs, cycles or triples, or a tuple of such
     trial: Callable[[TrialRun, int], Optional[dict]]  # row, None outside the premise
     holds: Callable[[dict], bool]  # whether a row bears the check out
     default_trials: int
@@ -148,12 +149,17 @@ def _odd_pair_trial(run: TrialRun, i: int) -> dict:
     return {"trial": i, "odd_pairs": len(census.odd), "witness": first}
 
 
+def _d4_scope(g) -> tuple:
+    return _disjoint_pairs(g), alpha_scope(g)
+
+
 def _d4_trial(run: TrialRun, i: int) -> Optional[dict]:
     label, d = _assignment(run, i)
-    lks = list(lk_census(d, run.scope).values)
+    pairs, quads = run.scope
+    lks = list(lk_census(d, pairs).values)
     if not all(v % 2 for v in lks):
         return None
-    return {"assignment": label, "lk": lks, "alpha": alpha(d)}
+    return {"assignment": label, "lk": lks, "alpha": alpha(d, quads)}
 
 
 def _dichotomy_trial(run: TrialRun, i: int) -> dict:
@@ -178,7 +184,7 @@ CHECKS: dict[str, Check] = {
         "all_odd_parity", ("K7",),
     ),
     "d4-lemma": Check(
-        _disjoint_pairs, _d4_trial, lambda r: r["alpha"] == 1, 100,
+        _d4_scope, _d4_trial, lambda r: r["alpha"] == 1, 100,
         "all_alpha_one", ("D4",), lambda g, seed: d4_reference_diagram(),
     ),
     "n9fn": Check(
@@ -466,7 +472,7 @@ def claim_petersen_lk(trials, seed, jobs):
 
 def _d4_host_trial(ctx, i: int) -> Optional[int]:
     """alpha of host sample i when both lifted linking numbers are odd."""
-    seed, host, model, lifted = ctx
+    seed, host, lifted, quads = ctx
     # the vertex order is shuffled per trial: in the sorted convex order one
     # lifted pair never interleaves, so its linking number would vanish
     # identically and the premise would be unsatisfiable
@@ -476,20 +482,22 @@ def _d4_host_trial(ctx, i: int) -> Optional[int]:
     base = build_convex_diagram(host, order=order, seed=rng.randrange(1 << 30))
     d = assign_over_under(base, seed=rng.randrange(1 << 30))
     lks = lk_census(d, lifted).values
-    return alpha(d, model) if all(v % 2 for v in lks) else None
+    return alpha(d, quads) if all(v % 2 for v in lks) else None
 
 
 def claim_d4_lemma(trials, seed, jobs):
     run, rows = run_trials("d4-lemma", fixture("D4"), None, None, jobs)
-    if len(run.scope) != 2:
-        return False, {"disjoint_bigon_pairs": len(run.scope)}
+    pairs, quads = run.scope
+    if len(pairs) != 2:
+        return False, {"disjoint_bigon_pairs": len(pairs)}
     n = run.base.crossing_count
     alpha_failures = _failures("d4-lemma", rows, "assignment")
     host = fixture("N9")
     model = d4_in_n9_model()
-    lifted = [(lift_cycle(model, a), lift_cycle(model, b)) for a, b in run.scope]
+    lifted = [(lift_cycle(model, a), lift_cycle(model, b)) for a, b in pairs]
+    host_quads = tuple(lift_cycle(model, c) for c in quads)
     samples = 20 if trials is None else trials
-    alphas = _map_trials(_d4_host_trial, (seed, host, model, lifted), samples, jobs)
+    alphas = _map_trials(_d4_host_trial, (seed, host, lifted, host_quads), samples, jobs)
     host_both_odd = sum(1 for v in alphas if v is not None)
     host_failures = [i for i, v in enumerate(alphas) if v not in (None, 1)]
     ok = (

@@ -9,13 +9,25 @@ This module alone decides the order of cycles: ``all_cycles`` sorts them
 by their sorted edge ids, and ``disjoint_cycle_tuples`` lists each tuple's
 cycles, and the tuples, in that order.  Callers use both as given.
 
-Beyond plain enumeration this module implements
+Whether cycles are disjoint depends only on their vertex sets, their
+supports, held as ``vertex_masks`` bit masks.  One search over masks,
+``_disjoint_indices``, serves both disjoint-cycle questions:
+
+* ``disjoint_cycle_tuples`` searches the distinct supports of all cycles
+  (K7 has 1,172 cycles on 99 supports) and expands each disjoint tuple of
+  supports into the cycle tuples on them;
+* ``has_disjoint_cycles`` (and ``gamma3_empty``) searches only the
+  inclusion-minimal supports (``minimal_supports``; 35 on K7), found
+  without enumerating cycles.  That is exact: every cycle's support
+  contains a minimal one, so n disjoint cycles give n disjoint minimal
+  supports, and each minimal support is the support of a cycle.
+
+Beyond these this module implements
 
 * ``cycle_walk``: the one walk around a cycle, shared by cycle formatting,
   cycle lifting and Gauss code extraction,
 * ``vertex_masks``: the vertex set of a cycle as an int bit mask, shared by
   the disjoint-cycle search and Gauss code extraction,
-* ``disjoint_cycle_tuples``: n-tuples of pairwise vertex-disjoint cycles,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
   the host graph (injective; branch set paths chosen shortest, ties to the
   smallest vertex id),
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .multigraph import MultiGraph, UnknownEdgeError, GraphError
@@ -203,25 +216,59 @@ def vertex_masks(g: MultiGraph, cycles: Iterable[Cycle]) -> list[int]:
     return masks
 
 
-def _min_cycle_support(g: MultiGraph) -> int:
-    # 1 with a loop present, 2 with a parallel pair, else 3
-    if any(u == v for _, u, v in g.edges):
-        return 1
-    if any(len(ids) > 1 for ids in g.parallel_classes().values()):
-        return 2
-    return 3
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _disjoint_cycle_search(g: MultiGraph, n: int) -> Iterator[CycleTuple]:
-    """Each n-set of pairwise vertex-disjoint cycles of g, once, as a tuple
-    in all_cycles order; the tuples come in lexicographic order."""
-    if n < 1:
-        raise GraphError("n must be >= 1")
-    if g.vertex_count < n * _min_cycle_support(g):
-        return
-    cycles = all_cycles(g)
-    for chosen in _disjoint_indices(vertex_masks(g, cycles), n, 0, 0):
-        yield tuple(cycles[i] for i in chosen)
+def minimal_supports(g: MultiGraph) -> list[int]:
+    """The inclusion-minimal vertex sets of cycles of g, as bit masks in the
+    ``vertex_masks`` layout.
+
+    In order: the loop vertices, the parallel pairs with no loop at either
+    end, and the chordless cycles of the underlying simple graph that pass
+    no loop and contain no parallel pair.  The chordless cycles are grown
+    as induced paths over neighbour bit masks; ``all_cycles`` is not used.
+    """
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    nbr = [0] * len(pos)
+    loops = 0
+    pairs = []
+    for (u, v), ids in g.parallel_classes().items():
+        bu, bv = 1 << pos[u], 1 << pos[v]
+        if u == v:
+            loops |= bu
+            continue
+        nbr[pos[u]] |= bv
+        nbr[pos[v]] |= bu
+        if len(ids) > 1:
+            pairs.append(bu | bv)
+    pairs = [p for p in pairs if not p & loops]
+    out = [1 << i for i in _bits(loops)] + pairs
+    # Each chordless cycle is grown once from its smallest vertex s, along
+    # induced paths s, first, ..., last through larger vertices off the
+    # loops.  `blocked` holds those excluded vertices, the path and every
+    # neighbour of the path's inner vertices, so a step to a neighbour of s
+    # closes a chordless cycle and any other step extends the path.
+    for s in range(len(pos)):
+        if loops >> s & 1:
+            continue
+        low = (2 << s) - 1 | loops
+        for first in _bits(nbr[s] & ~low):
+            stack = [(first, 1 << s | 1 << first, low | 1 << first)]
+            while stack:
+                last, path, blocked = stack.pop()
+                for w in _bits(nbr[last] & ~blocked):
+                    if not nbr[s] >> w & 1:
+                        stack.append((w, path | 1 << w, blocked | nbr[last] | 1 << w))
+                    elif first < w:  # the reverse walk closes at first < w
+                        cyc = path | 1 << w
+                        if not any(p & cyc == p for p in pairs):
+                            out.append(cyc)
+    return out
 
 
 def _disjoint_indices(
@@ -230,8 +277,10 @@ def _disjoint_indices(
     """Increasing index n-tuples from start on, in lexicographic order, of
     masks disjoint from used and from each other."""
     # a module function, not a closure that calls itself: such a closure is
-    # a reference cycle, which would keep the search's cycles alive until
+    # a reference cycle, which would keep the search's masks alive until
     # the garbage collector runs
+    if n < 1:
+        raise GraphError("n must be >= 1")
     for i in range(start, len(masks)):
         if masks[i] & used:
             continue
@@ -248,37 +297,28 @@ def disjoint_cycle_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
     Each tuple lists its cycles in all_cycles order, and the tuples are
     sorted lexicographically by those lists.
     """
-    return tuple(_disjoint_cycle_search(g, n))
+    cycles = all_cycles(g)
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(vertex_masks(g, cycles)):
+        groups.setdefault(m, []).append(i)
+    members = list(groups.values())
+    found = sorted(
+        tuple(sorted(combo))
+        for chosen in _disjoint_indices(list(groups), n, 0, 0)
+        for combo in product(*(members[k] for k in chosen))
+    )
+    return tuple(tuple(cycles[i] for i in idx) for idx in found)
 
 
 def has_disjoint_cycles(g: MultiGraph, n: int) -> bool:
-    """Short-circuiting version of ``disjoint_cycle_tuples(g, n) != ()``."""
-    return next(_disjoint_cycle_search(g, n), None) is not None
+    """Whether g has n pairwise vertex-disjoint cycles, searched over the
+    minimal supports only: every cycle's vertex set contains one."""
+    return next(_disjoint_indices(minimal_supports(g), n, 0, 0), None) is not None
 
 
 def gamma3_empty(g: MultiGraph) -> bool:
     """True iff g has no three pairwise vertex-disjoint cycles."""
     return not has_disjoint_cycles(g, 3)
-
-
-def z2_decompose(g: MultiGraph, target: Cycle, parts: Iterable[Cycle]) -> bool:
-    """Mod-2 sum test in the cycle space over endpoint pairs.
-
-    Edge sets are projected to their endpoint pairs first, so two parallel
-    copies of the same pair cancel, matching the simple cycle space.
-    """
-
-    def vec(edge_ids: Iterable[int]) -> frozenset[tuple[int, int]]:
-        count: dict[tuple[int, int], int] = {}
-        for eid in edge_ids:
-            u, v = g.endpoints(eid)
-            count[(u, v)] = count.get((u, v), 0) + 1
-        return frozenset(k for k, c in count.items() if c % 2)
-
-    acc: frozenset[tuple[int, int]] = frozenset()
-    for part in parts:
-        acc = acc ^ vec(part)
-    return acc == vec(target)
 
 
 # -- minor models and cycle lifting ------------------------------------------

@@ -68,8 +68,10 @@ def _seg_intersection(p1: Point, p2: Point, q1: Point, q2: Point):
         if hi < 0 or lo > 1:
             return ("none",)
         if hi == 0 or lo == 1:
-            # touching at one shared endpoint only
-            return ("point", 0 if hi == 0 else 1, None, p1 if hi == 0 else p2)
+            # touching at one shared endpoint only: t is p's end there, s
+            # the end of q that lies on it
+            t = 0 if hi == 0 else 1
+            return ("point", t, 0 if t0 == t else 1, p1 if hi == 0 else p2)
         return ("overlap",)
     t = _cross(w, u) / denom
     s = _cross(w, r) / denom
@@ -229,7 +231,7 @@ class SpatialDiagram:
                     raise GenericityError(
                         f"edges {da.eid} and {db.eid} touch a shared vertex improperly"
                     )
-                if t in (0, 1) or s in (0, 1) or t is None or s is None:
+                if t in (0, 1) or s in (0, 1):
                     raise GenericityError(
                         f"edges {da.eid} and {db.eid} touch without crossing"
                     )
@@ -248,8 +250,6 @@ class SpatialDiagram:
 
     @staticmethod
     def _is_terminal_tip(de: DiagramEdge, seg_idx: int, t, pt: Point) -> bool:
-        if t is None:
-            return False
         segs = de.segments()
         if seg_idx == 0 and t == 0 and pt == de.polyline[0]:
             return True

@@ -325,19 +325,25 @@ def lk_census(d, pairs: Iterable) -> Census:
     return Census(sum(values) % 2, values, odd)
 
 
-def alpha(d, model=None) -> int:
-    """Mod-2 sum of a2 over the four-edge cycles of a doubled four-cycle,
-    read off a diagram of the shape itself or, through a minor model, off a
-    diagram of a host graph."""
-    from .cycles import all_cycles, lift_cycle
+def alpha_scope(g) -> tuple:
+    """The 16 four-edge cycles of a doubled four-cycle g, in all_cycles order."""
+    from .cycles import all_cycles
 
-    pattern = d.graph if model is None else model.pattern
-    quads = [c for c in all_cycles(pattern) if len(c) == 4]
+    quads = tuple(c for c in all_cycles(g) if len(c) == 4)
     if len(quads) != 16:
         raise GraphError(f"expected 16 four-edge cycles, found {len(quads)}")
-    if model is not None:
-        quads = [lift_cycle(model, c) for c in quads]
-    return a2_census(d, quads).parity
+    return quads
+
+
+def alpha(d, quads=None) -> int:
+    """Mod-2 sum of a2 over the four-edge cycles of a doubled four-cycle.
+
+    quads defaults to alpha_scope(d.graph), for a diagram of the shape
+    itself; for a diagram of a host graph, pass the shape's alpha_scope
+    lifted through a minor model.  Callers evaluating many diagrams
+    compute quads once.
+    """
+    return a2_census(d, alpha_scope(d.graph) if quads is None else quads).parity
 
 
 @dataclass(frozen=True)

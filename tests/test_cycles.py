@@ -1,5 +1,6 @@
-"""Cycle enumeration, disjoint cycle systems, and cycle arithmetic."""
+"""Cycle enumeration, disjoint cycle systems and their vertex supports."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -24,9 +25,10 @@ from spatialgraphs.cycles import (
     gamma3_empty,
     has_disjoint_cycles,
     is_cycle,
+    minimal_supports,
     parse_cycle,
     phi_map,
-    z2_decompose,
+    vertex_masks,
 )
 from spatialgraphs.multigraph import GraphError, MultiGraph, complete_graph, from_pairs
 
@@ -97,26 +99,6 @@ def test_cycle_order_starts_at_smallest(n9):
 def test_parse_cycle_rejects_non_cycles(n9):
     with pytest.raises(Exception):
         parse_cycle(n9, "[1 2 4]")
-
-
-def test_z2_decompose_examples(n9):
-    checks = [
-        ("[1 2 4 5]", ["[1 2 6 5]", "[4 2 6 5]"]),
-        ("[2 6 9 3 4]", ["[4 3 2]", "[6 9 3 2]"]),
-        ("[1 5 3 4 2 6]", ["[3 4 5]", "[4 5 6]", "[1 5 6]", "[2 4 6]"]),
-        ("[1 5 3 4 2 6]", ["[1 2 6]", "[1 2 3]", "[2 3 4]", "[1 3 5]"]),
-    ]
-    for target, parts in checks:
-        assert z2_decompose(
-            n9, parse_cycle(n9, target), [parse_cycle(n9, p) for p in parts]
-        )
-
-
-def test_z2_decompose_trivial_and_failing(n9):
-    gamma = parse_cycle(n9, "[1 2 3]")
-    other = parse_cycle(n9, "[4 5 6]")
-    assert z2_decompose(n9, gamma, [gamma])
-    assert not z2_decompose(n9, gamma, [other])
 
 
 def test_phi_map_small_example():
@@ -274,3 +256,52 @@ def test_disjoint_cycle_search_matches_brute_force(g):
         tuples = disjoint_cycle_tuples(g, n)
         assert tuples == expected
         assert has_disjoint_cycles(g, n) == bool(tuples)
+
+
+def test_disjoint_cycle_search_rejects_n_below_one():
+    k4 = complete_graph(4)
+    with pytest.raises(GraphError):
+        has_disjoint_cycles(k4, 0)
+    with pytest.raises(GraphError):
+        disjoint_cycle_tuples(k4, 0)
+
+
+# -- minimal vertex supports --------------------------------------------------------
+
+
+def _assert_minimal_supports_match_cycles(g):
+    masks = set(vertex_masks(g, all_cycles(g)))
+    minimal = {m for m in masks if not any(o != m and o & m == o for o in masks)}
+    supports = minimal_supports(g)
+    assert len(supports) == len(set(supports))
+    assert set(supports) <= masks  # every support is the mask of some cycle
+    assert set(supports) == minimal
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_minimal_supports_are_the_minimal_cycle_masks(g):
+    _assert_minimal_supports_match_cycles(g)
+
+
+def test_minimal_supports_on_families():
+    for fam in (petersen_family(), heawood_family(), k3311_family()):
+        for r in fam.records:
+            _assert_minimal_supports_match_cycles(r.graph)
+    # K7: 1,172 cycles on 99 supports; its 35 triangles are the minimal ones
+    assert len(minimal_supports(complete_graph(7))) == 35
+
+
+# sha256 of the sorted "<certificate hex> <gamma3_empty as 0/1>" lines of the
+# 85 members of the three families, recorded with the search over all cycles
+GAMMA3_PIN = "1e2fb203b1347c79dd865e4c004a2afeae1d05cadc80a6cc9638469d292aa268"
+
+
+def test_gamma3_empty_matches_pin():
+    lines = sorted(
+        f"{r.certificate.hex} {int(gamma3_empty(r.graph))}"
+        for fam in (petersen_family(), heawood_family(), k3311_family())
+        for r in fam.records
+    )
+    assert len(lines) == 85
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GAMMA3_PIN

@@ -90,6 +90,19 @@ def test_overlapping_collinear_segments_rejected():
         SpatialDiagram(g, pos, {0: ((0, 0), (2, 0), (1, 0))})
 
 
+def test_collinear_edges_may_meet_at_their_shared_vertex():
+    # the two edges of a straight path meet end to end at vertex 2
+    g = from_pairs([(1, 2), (2, 3)])
+    pos = {1: (0, 0), 2: (1, 0), 3: (2, 0)}
+    d = SpatialDiagram(g, pos, {0: (pos[1], pos[2]), 1: (pos[2], pos[3])})
+    assert d.crossing_count == 0
+    # the same straight path with its second edge drawn toward the middle
+    g = from_pairs([(1, 3), (2, 3)])
+    pos = {1: (0, 0), 2: (2, 0), 3: (1, 0)}
+    d = SpatialDiagram(g, pos, {0: (pos[1], pos[3]), 1: (pos[2], pos[3])})
+    assert d.crossing_count == 0
+
+
 def _edges_on_top(d):
     """Per crossing, the edge that extract_gauss marks as the over strand,
     read off a link of two disjoint cycles, one through each strand."""

@@ -7,7 +7,13 @@ from spatialgraphs.catalog import (
     d4_reference_diagram,
     fixture,
 )
-from spatialgraphs.cycles import all_cycles, disjoint_cycle_tuples, format_cycle, parse_cycle
+from spatialgraphs.cycles import (
+    all_cycles,
+    disjoint_cycle_tuples,
+    format_cycle,
+    lift_cycle,
+    parse_cycle,
+)
 from spatialgraphs.diagrams import (
     assign_over_under,
     build_convex_diagram,
@@ -19,6 +25,7 @@ from spatialgraphs.invariants import (
     a2,
     a2_census,
     alpha,
+    alpha_scope,
     conway_polynomial,
     cycle_a2,
     dichotomy_witness,
@@ -152,7 +159,8 @@ def test_alpha_on_reference_diagram():
 def test_alpha_through_a_minor_model(n9):
     model = d4_in_n9_model()
     base = build_convex_diagram(n9)
-    vals = {alpha(assign_over_under(base, seed=s), model=model) for s in range(12)}
+    quads = tuple(lift_cycle(model, c) for c in alpha_scope(model.pattern))
+    vals = {alpha(assign_over_under(base, seed=s), quads) for s in range(12)}
     assert vals <= {0, 1}
 
 
