@@ -9,7 +9,6 @@ from .cycles import (
     MinorModel,
     all_cycles,
     cycle_order,
-    cycle_vertices,
     disjoint_cycle_tuples,
     format_cycle,
     gamma3_empty,

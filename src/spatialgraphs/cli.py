@@ -92,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(token: str):
     if token in fixture_names():
-        return fixture(token)
+        g = fixture(token)
+        if isinstance(g, GaussLink):
+            raise GraphError(f"{token} is a Gauss code fixture, not a graph")
+        return g
     with open(token) as fh:
         return parse_edge_list(fh.read())
 

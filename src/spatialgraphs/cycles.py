@@ -25,15 +25,17 @@ supports, held as ``vertex_masks`` bit masks.  One search over masks,
 Beyond these this module implements
 
 * ``cycle_walk``: the one walk around a cycle, shared by cycle formatting,
-  cycle lifting and Gauss code extraction,
-* ``vertex_masks``: the vertex set of a cycle as an int bit mask, shared by
-  the disjoint-cycle search and Gauss code extraction,
+  cycle lifting and Gauss code extraction, and the one cycle check: it
+  raises ``GraphError`` on any other edge set,
+* ``vertex_masks``: the one cycle-vertex helper, a bit mask per cycle,
+  shared by the disjoint-cycle search and Gauss code extraction,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
   the host graph (injective; branch set paths chosen shortest, ties to the
   smallest vertex id),
 * ``phi_map``: the correspondence between cycles of a graph carrying a
   triangle and cycles of its triangle-to-star exchange (surjective with
-  fibers of size at most 2).
+  fibers of size at most 2), which checks each image tuple against its
+  codomain, enumerated once per call.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .multigraph import MultiGraph, UnknownEdgeError, GraphError
+from .multigraph import MultiGraph, GraphError
 
 Cycle = frozenset[int]
 CycleTuple = tuple[Cycle, ...]
@@ -81,52 +83,6 @@ def all_cycles(g: MultiGraph) -> tuple[Cycle, ...]:
                     continue
                 stack.append((w, path_edges + [eid], on_path | {w}))
     return tuple(sorted(found, key=sorted))
-
-
-def cycle_vertices(g: MultiGraph, cycle: Cycle) -> frozenset[int]:
-    out = set()
-    for eid in cycle:
-        u, v = g.endpoints(eid)
-        out.add(u)
-        out.add(v)
-    return frozenset(out)
-
-
-def is_cycle(g: MultiGraph, edge_ids: Iterable[int]) -> bool:
-    """Connected and every vertex of the subgraph has degree exactly 2."""
-    ids = set(edge_ids)
-    if not ids:
-        return False
-    deg: dict[int, int] = {}
-    for eid in ids:
-        try:
-            u, v = g.endpoints(eid)
-        except UnknownEdgeError:
-            return False
-        deg[u] = deg.get(u, 0) + (2 if u == v else 1)
-        if u != v:
-            deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity over the support
-    verts = sorted(deg)
-    start = verts[0]
-    seen = {start}
-    frontier = [start]
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for eid in ids:
-        u, v = g.endpoints(eid)
-        adj[u].add(v)
-        adj[v].add(u)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen) == len(verts)
 
 
 def cycle_walk(g: MultiGraph, cycle: Cycle) -> list[tuple[int, int]]:
@@ -181,23 +137,23 @@ def parse_cycle(g: MultiGraph, text: str) -> Cycle:
     if not verts:
         raise GraphError("empty cycle")
     if len(verts) == 1:
-        loops = g.loops_at(verts[0])
-        if len(loops) != 1:
+        ids = g.loops_at(verts[0])
+        if len(ids) != 1:
             raise GraphError(f"no unique loop at {verts[0]}")
-        return frozenset(loops)
-    ids = []
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        if len(verts) == 2 and a > b:
-            continue  # the pair [u v] closes over the same parallel class
-        between = g.edges_between(a, b)
-        if len(verts) == 2:
-            if len(between) != 2:
-                raise GraphError(f"no doubled edge between {a},{b}")
-            return frozenset(between)
-        if len(between) != 1:
-            raise GraphError(f"no unique edge between {a},{b}")
-        ids.append(between[0])
-    return frozenset(ids)
+    elif len(verts) == 2:
+        ids = g.edges_between(*verts)
+        if len(ids) != 2:
+            raise GraphError(f"no doubled edge between {verts[0]},{verts[1]}")
+    else:
+        ids = []
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            between = g.edges_between(a, b)
+            if len(between) != 1:
+                raise GraphError(f"no unique edge between {a},{b}")
+            ids.append(between[0])
+    cycle = frozenset(ids)
+    cycle_walk(g, cycle)  # raises on a bowtie, a back-and-forth or two loops
+    return cycle
 
 
 def vertex_masks(g: MultiGraph, cycles: Iterable[Cycle]) -> list[int]:
@@ -434,8 +390,7 @@ def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
         out.update(_branch_path(host, bs, a_in, a_out))
         out.add(h_out)
     lifted = frozenset(out)
-    if not is_cycle(host, lifted):
-        raise GraphError("lift produced a non-cycle")
+    cycle_walk(host, lifted)  # raises GraphError unless the lift is a cycle
     return lifted
 
 
@@ -481,17 +436,16 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
     Domain: n-tuples of disjoint cycles of ``g`` whose edge set does not
     contain the whole triangle.  Each tuple maps to the unique tuple of the
     exchanged graph agreeing with it away from the triangle/star edges.
+    Every image must be a tuple of the codomain, the n-tuples of disjoint
+    cycles of the exchanged graph; a miss raises ``GraphError``.
     """
     from .exchange import delta_y, _triangle_edges  # local import, no cycle at import time
 
     gy = delta_y(g, triangle)
     tri_set = frozenset(_triangle_edges(g, triangle))
     x = max(gy.vertices)  # the fresh star center gets the next label
-    star_eid = {}
-    for eid, u, v in gy.edges:
-        if u == x or v == x:
-            other = u if v == x else v
-            star_eid[other] = eid
+    star_eid = {w: eid for eid, w in gy.incident(x)}
+    codomain = set(map(frozenset, disjoint_cycle_tuples(gy, n)))
 
     mapping: dict[CycleTuple, frozenset[Cycle]] = {}
     for t in _phi_domain_tuples(g, n):
@@ -500,25 +454,24 @@ def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
         image = []
         for comp in t:
             hit = comp & tri_set
-            if not hit:
-                # delta_y keeps these edges with their ids and endpoints
-                image.append(comp)
-                continue
-            # one or two triangle edges become the star path between the
-            # corners where the component leaves the triangle
-            ends: set[int] = set()
-            for eid in hit:
-                ends ^= set(g.endpoints(eid))
-            part = (comp - hit) | {star_eid[c] for c in ends}
-            if not is_cycle(gy, part):
-                raise GraphError("triangle exchange image is not a cycle")
-            image.append(part)
-        mapping[t] = frozenset(image)
+            if hit:
+                # one or two triangle edges become the star path between the
+                # corners where the component leaves the triangle; delta_y
+                # keeps every other edge with its id and endpoints
+                ends: set[int] = set()
+                for eid in hit:
+                    ends ^= set(g.endpoints(eid))
+                comp = (comp - hit) | {star_eid[c] for c in ends}
+            image.append(comp)
+        img = frozenset(image)
+        if img not in codomain:
+            raise GraphError("triangle exchange image is not a tuple of disjoint cycles")
+        mapping[t] = img
 
     fibers: dict[frozenset[Cycle], list[CycleTuple]] = {}
     for t, img in mapping.items():
         fibers.setdefault(img, []).append(t)
     fib = {k: tuple(v) for k, v in fibers.items()}
-    surjective = set(fib) == set(map(frozenset, disjoint_cycle_tuples(gy, n)))
+    surjective = len(fib) == len(codomain)
     max_fiber = max((len(v) for v in fib.values()), default=0)
     return PhiResult(gy, mapping, fib, surjective, max_fiber)

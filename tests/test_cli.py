@@ -290,6 +290,9 @@ def test_spatial_takes_any_vertex_labels(capsys, tmp_path, labels):
     ["verify", "invariant-oracle", "--trials", "0"],
     ["verify", "petersen-family", "--trials", "0"],
     ["verify", "conway-gordon-k6", "--trials", "2", "--jobs", "-1"],
+    # Gauss-code fixtures are not graphs
+    ["spatial", "--graph", "Hopf", "--check", "cg-k6"],
+    ["families", "--seed", "Trefoil"],
 ], ids=" ".join)
 def test_bad_trial_or_job_count_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -18,19 +18,24 @@ from spatialgraphs.catalog import (
 from spatialgraphs.cycles import (
     all_cycles,
     cycle_order,
-    cycle_vertices,
     cycle_walk,
     disjoint_cycle_tuples,
     format_cycle,
     gamma3_empty,
     has_disjoint_cycles,
-    is_cycle,
     minimal_supports,
     parse_cycle,
     phi_map,
     vertex_masks,
 )
-from spatialgraphs.multigraph import GraphError, MultiGraph, complete_graph, from_pairs
+from spatialgraphs.exchange import _triangle_edges, delta_y, triangles
+from spatialgraphs.multigraph import (
+    GraphError,
+    MultiGraph,
+    UnknownEdgeError,
+    complete_graph,
+    from_pairs,
+)
 
 
 def tuples_as_text(g, tuples):
@@ -47,7 +52,7 @@ def test_k7_cycle_count():
 
 def test_k7_hamiltonian_cycle_count():
     k7 = complete_graph(7)
-    assert sum(1 for c in all_cycles(k7) if len(cycle_vertices(k7, c)) == 7) == 360
+    assert sum(1 for c in all_cycles(k7) if len(cycle_order(k7, c)) == 7) == 360
 
 
 def test_disjoint_pair_counts():
@@ -66,7 +71,7 @@ def test_multigraph_cycles_include_bigons():
     d4 = fixture("D4")
     cycles = all_cycles(d4)
     assert len(cycles) == 20
-    bigons = [c for c in cycles if len(cycle_vertices(d4, c)) == 2]
+    bigons = [c for c in cycles if len(cycle_order(d4, c)) == 2]
     assert len(bigons) == 4
     assert len(disjoint_cycle_tuples(d4, 2)) == 2
 
@@ -97,8 +102,27 @@ def test_cycle_order_starts_at_smallest(n9):
 
 
 def test_parse_cycle_rejects_non_cycles(n9):
-    with pytest.raises(Exception):
-        parse_cycle(n9, "[1 2 4]")
+    k6 = complete_graph(6)
+    for g, text in (
+        (n9, "[1 2 4]"),  # no edge 2-4
+        (k6, "[1 2 3 1 4 5]"),  # a bowtie through 1
+        (k6, "[1 2 1 2]"),  # one edge walked back and forth
+        (from_pairs([(1, 1), (1, 1), (1, 2)]), "[1 1]"),  # two loops at 1
+    ):
+        with pytest.raises(GraphError):
+            parse_cycle(g, text)
+
+
+def test_phi_map_rejects_images_outside_its_codomain(monkeypatch):
+    # drop one tuple from the codomain (the exchanged K6 has 7 vertices):
+    # every codomain tuple is an image, so the membership check must raise
+    def short_codomain(g, n):
+        found = disjoint_cycle_tuples(g, n)
+        return found[1:] if g.vertex_count == 7 else found
+
+    monkeypatch.setattr("spatialgraphs.cycles.disjoint_cycle_tuples", short_codomain)
+    with pytest.raises(GraphError):
+        phi_map(complete_graph(6), (1, 2, 3), 2)
 
 
 def test_phi_map_small_example():
@@ -229,6 +253,43 @@ def test_cycle_walk_rejects_non_cycles(n9):
         cycle_walk(n9, frozenset())
 
 
+def _is_cycle(g, edge_ids):
+    """Connected and every vertex of the subgraph has degree exactly 2."""
+    ids = set(edge_ids)
+    if not ids:
+        return False
+    deg = {}
+    for eid in ids:
+        try:
+            u, v = g.endpoints(eid)
+        except UnknownEdgeError:
+            return False
+        deg[u] = deg.get(u, 0) + (2 if u == v else 1)
+        if u != v:
+            deg[v] = deg.get(v, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    # connectivity over the support
+    verts = sorted(deg)
+    start = verts[0]
+    seen = {start}
+    frontier = [start]
+    adj = {v: set() for v in verts}
+    for eid in ids:
+        u, v = g.endpoints(eid)
+        adj[u].add(v)
+        adj[v].add(u)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == len(verts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_multigraphs(), st.data())
 def test_cycle_walk_succeeds_exactly_on_cycles(g, data):
@@ -239,19 +300,74 @@ def test_cycle_walk_succeeds_exactly_on_cycles(g, data):
         walked = False
     else:
         walked = True
-    assert walked == is_cycle(g, subset)
+    assert walked == _is_cycle(g, subset)
+
+
+def _old_phi_map(g, triangle, n):
+    """(mapping, fibers, surjective, max_fiber) with each image component
+    checked by ``_is_cycle``, as phi_map did before its codomain check."""
+    gy = delta_y(g, triangle)
+    tri_set = frozenset(_triangle_edges(g, triangle))
+    x = max(gy.vertices)
+    star_eid = {}
+    for eid, u, v in gy.edges:
+        if u == x or v == x:
+            star_eid[u if v == x else v] = eid
+    mapping = {}
+    for t in disjoint_cycle_tuples(g, n):
+        if tri_set <= frozenset().union(*t):
+            continue
+        image = []
+        for comp in t:
+            hit = comp & tri_set
+            if not hit:
+                image.append(comp)
+                continue
+            ends = set()
+            for eid in hit:
+                ends ^= set(g.endpoints(eid))
+            part = (comp - hit) | {star_eid[c] for c in ends}
+            if not _is_cycle(gy, part):
+                raise GraphError("triangle exchange image is not a cycle")
+            image.append(part)
+        mapping[t] = frozenset(image)
+    fibers = {}
+    for t, img in mapping.items():
+        fibers.setdefault(img, []).append(t)
+    fib = {k: tuple(v) for k, v in fibers.items()}
+    surjective = set(fib) == set(map(frozenset, disjoint_cycle_tuples(gy, n)))
+    max_fiber = max((len(v) for v in fib.values()), default=0)
+    return mapping, fib, surjective, max_fiber
+
+
+@st.composite
+def multigraphs_with_a_triangle(draw):
+    """small_multigraphs with a triangle added on three of its vertices."""
+    g = draw(small_multigraphs().filter(lambda h: h.vertex_count >= 3))
+    a, b, c = draw(st.lists(st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True))
+    pairs = [(u, v) for _, u, v in g.edges] + [(a, b), (b, c), (c, a)]
+    return from_pairs(pairs, vertices=g.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs_with_a_triangle())
+def test_phi_map_matches_old_phi_map(g):
+    for t in triangles(g):
+        for n in (1, 2):
+            res = phi_map(g, t, n)
+            assert (res.mapping, res.fibers, res.surjective, res.max_fiber) == _old_phi_map(g, t, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_multigraphs())
 def test_disjoint_cycle_search_matches_brute_force(g):
-    cycles = all_cycles(g)
-    assert cycles == tuple(sorted(cycles, key=sorted))
+    found = all_cycles(g)
+    assert found == tuple(sorted(found, key=sorted))
+    verts = {c: {v for eid in c for v in g.endpoints(eid)} for c in found}
     for n in (1, 2, 3):
         expected = tuple(
-            combo for combo in combinations(cycles, n)
-            if all(not (cycle_vertices(g, a) & cycle_vertices(g, b))
-                   for a, b in combinations(combo, 2))
+            combo for combo in combinations(found, n)
+            if all(not (verts[a] & verts[b]) for a, b in combinations(combo, 2))
         )
         tuples = disjoint_cycle_tuples(g, n)
         assert tuples == expected

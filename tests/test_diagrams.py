@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialgraphs.catalog import d4_reference_diagram, fixture
-from spatialgraphs.cycles import all_cycles, cycle_vertices, cycle_walk, disjoint_cycle_tuples
+from spatialgraphs.cycles import all_cycles, cycle_order, cycle_walk, disjoint_cycle_tuples
 from spatialgraphs.diagrams import (
     GenericityError,
     SpatialDiagram,
@@ -107,7 +107,8 @@ def _edges_on_top(d):
     """Per crossing, the edge that extract_gauss marks as the over strand,
     read off a link of two disjoint cycles, one through each strand."""
     g = d.graph
-    pairs = [sorted(p, key=lambda c: min(cycle_vertices(g, c))) for p in disjoint_cycle_tuples(g, 2)]
+    # cycle_order starts at the cycle's smallest vertex
+    pairs = [sorted(p, key=lambda c: cycle_order(g, c)[0]) for p in disjoint_cycle_tuples(g, 2)]
     tops = []
     for x in d.crossings:
         first, second = next(
