@@ -8,8 +8,11 @@ self-intersecting polylines.  The crossing records hold geometry only; the
 over/under state of a diagram is one integer mask, bit i set when the
 ``edge_b`` strand of crossing i is on top.  Reassigning it is cheap: a clone
 carries a new mask and shares the geometry, together with what is derived
-from it once per projection: each crossing's orientation and each cycle's
-walk through its crossings.
+from it once per projection: each crossing's orientation, each cycle's walk
+through its crossings, and the a2 and lk forms that ``invariants`` compiles
+from those walks and evaluates against the mask.  ``extract_gauss`` writes
+out the Gauss code of one assignment; it serves explicit codes and is the
+reference the compiled forms are tested against.
 
 Randomly assigning over/under bits to a fixed projection samples honest
 spatial embeddings: every assignment of a generic projection is realizable
@@ -144,9 +147,11 @@ class SpatialDiagram:
         # over/under: bit i set puts the edge_b strand of crossing i on top
         self.mask = 0
         # mask-independent data, shared by every over/under clone: the sign
-        # of cross(dir_a, dir_b) per crossing, and _walk's memo per cycle
+        # of cross(dir_a, dir_b) per crossing, and one memo per projection
+        # that holds _walk's entry per cycle and the compiled a2 and lk forms
+        # of invariants, immutable ints and tuples all
         self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
-        self._walks: dict[Cycle, tuple] = {}
+        self._memo: dict = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -300,7 +305,7 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
     1 when eid is the crossing's edge_b; none of it depends on the mask.
     The vertex mask is the cycle's vertex_masks entry.
     """
-    memo = d._walks.get(cycle)
+    memo = d._memo.get(cycle)
     if memo is None:
         walk = cycle_walk(d.graph, cycle)
         passages = []
@@ -311,7 +316,7 @@ def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
                 c = d.crossings[cid]
                 other = c.edge_a if side else c.edge_b
                 passages.append((eid, 1 if forward else -1, cid, side, other))
-        memo = d._walks[cycle] = (walk[0][0], tuple(passages), vertex_masks(d.graph, [cycle])[0])
+        memo = d._memo[cycle] = (walk[0][0], tuple(passages), vertex_masks(d.graph, [cycle])[0])
     return memo
 
 

@@ -3,8 +3,14 @@
 Two independent routes to the degree-2 Conway coefficient are kept side by
 side: a skein-relation evaluator for the whole Conway polynomial (the
 oracle, exponential in the worst case but fine at the sizes used here) and
-a quadratic-time Gauss-diagram count used by the statistical censuses.
-Tests force agreement between the two on a corpus of sampled knots.
+a quadratic-time Gauss-diagram count.  Tests force agreement between the
+two on a corpus of sampled knots.
+
+The censuses over a diagram's over/under assignments build no Gauss code.
+Once per projection, each cycle's a2 and each pair's linking number is
+compiled from the Gauss-diagram count into bit masks over the crossings;
+a trial reads it off its over/under mask with bit counts.  Tests hold the
+compiled forms to the Gauss-code route on random masks.
 """
 
 from __future__ import annotations
@@ -291,16 +297,103 @@ def a2(knot: GaussLink) -> int:
 # -- diagram-level censuses ------------------------------------------------------
 
 
-def cycle_a2(d, cycle) -> int:
-    from .diagrams import extract_gauss
+# A census reads each scope item from a form compiled once per projection
+# from diagrams._walk's passages and kept in the projection's memo, which
+# every over/under clone shares; a failed compile leaves no entry.  In a
+# clone with mask m, crossing c has the sign s_c * (1 - 2 b_c) of
+# extract_gauss, where b_c is bit c of m and s_c its sign at b_c = 0.
 
-    return a2(extract_gauss(d, [cycle]))
+
+def _a2_form(d, cycle: frozenset) -> tuple:
+    """(flip, rows) of a cycle, so that bit c of mask ^ flip is set exactly
+    when self-crossing c is first met under.
+
+    A2_CLASS counts the interleaved pairs (p, q), p first met before q, with
+    p first met under and q first met over.  Those two facts fix b_p and b_q,
+    and with them the pair's sign product.  A row (bit p, |pos| - |neg|, pos,
+    neg) holds the crossings q interleaved after p, split by that product.
+    """
+    key = ("a2", cycle)
+    form = d._memo.get(key)
+    if form is None:
+        from .diagrams import _walk
+
+        passages = [p for p in _walk(d, cycle)[1] if p[4] in cycle]
+        dirs = {eid: w for eid, w, _, _, _ in passages}
+        first: dict[int, int] = {}  # in order of first passage
+        last: dict[int, int] = {}
+        # s_c * (2 f_c - 1), f_c the strand side of c's first passage: the
+        # sign of p under first is +t_p, of q over first -t_q
+        t: dict[int, int] = {}
+        flip = 0
+        for i, (_, w, cid, side, other) in enumerate(passages):
+            if cid in first:
+                last[cid] = i
+                continue
+            first[cid] = i
+            flip |= side << cid
+            t[cid] = d._orient[cid] * w * dirs[other] * (1 if side else -1)
+        order = list(first)
+        rows = []
+        for i, p in enumerate(order):
+            pos = neg = 0
+            for q in order[i + 1 :]:
+                if first[q] > last[p]:
+                    break
+                if last[p] < last[q]:
+                    if t[p] == t[q]:
+                        neg |= 1 << q
+                    else:
+                        pos |= 1 << q
+            if pos | neg:
+                rows.append((1 << p, pos.bit_count() - neg.bit_count(), pos, neg))
+        form = d._memo[key] = (flip, tuple(rows))
+    return form
+
+
+def cycle_a2(d, cycle) -> int:
+    """a2(extract_gauss(d, [cycle])), read from the cycle's compiled form."""
+    flip, rows = _a2_form(d, frozenset(cycle))
+    under = d.mask ^ flip
+    total = 0
+    for bit, k, pos, neg in rows:
+        if under & bit:
+            total += k - (pos & under).bit_count() + (neg & under).bit_count()
+    return total
+
+
+def _lk_form(d, ca: frozenset, cb: frozenset) -> tuple:
+    """(half, pos, neg) of a pair: its crossings split by their sign at
+    b = 0, and half = (|pos| - |neg|) / 2."""
+    key = ("lk", ca, cb)
+    form = d._memo.get(key)
+    if form is None:
+        from .diagrams import _walk
+
+        _, passages_a, vertices_a = _walk(d, ca)
+        _, passages_b, vertices_b = _walk(d, cb)
+        if vertices_a & vertices_b:
+            raise GraphError("components share a vertex")
+        dirs_b = {eid: w for eid, w, _, _, _ in passages_b}
+        pos = neg = 0
+        for _, w, cid, _, other in passages_a:
+            if other in cb:
+                if d._orient[cid] * w * dirs_b[other] > 0:
+                    pos |= 1 << cid
+                else:
+                    neg |= 1 << cid
+        half, odd = divmod(pos.bit_count() - neg.bit_count(), 2)
+        if odd:
+            raise GraphError("odd inter-component crossing sum; code is inconsistent")
+        form = d._memo[key] = (half, pos, neg)
+    return form
 
 
 def pair_lk(d, ca, cb) -> int:
-    from .diagrams import extract_gauss
-
-    return linking_number(extract_gauss(d, [ca, cb]))
+    """linking_number(extract_gauss(d, [ca, cb])), read from the pair's
+    compiled form."""
+    half, pos, neg = _lk_form(d, frozenset(ca), frozenset(cb))
+    return half - (pos & d.mask).bit_count() + (neg & d.mask).bit_count()
 
 
 @dataclass(frozen=True)

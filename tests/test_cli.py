@@ -165,8 +165,7 @@ def _without_run_fields(report):
     return {k: v for k, v in report.items() if k not in ("elapsed_s", "jobs")}
 
 
-def test_verify_jobs_under_spawn_matches_serial(capsys):
-    argv = ["verify", "conway-gordon-k6", "--trials", "4", "--seed", "1", "--format", "json"]
+def _assert_spawned_jobs_match_serial(capsys, argv):
     code, out, _ = run(capsys, *argv, "--jobs", "1")
     assert code == 0
     serial = json.loads(out)
@@ -182,8 +181,21 @@ def test_verify_jobs_under_spawn_matches_serial(capsys):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     spawned = json.loads(proc.stdout)
-    assert spawned["jobs"] == 2
     assert _without_run_fields(spawned) == _without_run_fields(serial)
+    return spawned
+
+
+def test_verify_jobs_under_spawn_matches_serial(capsys):
+    spawned = _assert_spawned_jobs_match_serial(
+        capsys, ["verify", "conway-gordon-k6", "--trials", "4", "--seed", "1", "--format", "json"])
+    assert spawned["jobs"] == 2
+
+
+def test_spatial_a2_jobs_under_spawn_matches_serial(capsys):
+    # each worker unpickles the projection and compiles forms into its own
+    # copy of the memo; cg-k6 reads only lk forms, cg-k7 a2 forms
+    _assert_spawned_jobs_match_serial(
+        capsys, ["spatial", "--graph", "K7", "--check", "cg-k7", "--trials", "4", "--format", "json"])
 
 
 # sha256 of each JSON report with its wall-clock and interpreter-version

@@ -21,7 +21,14 @@ from spatialgraphs.diagrams import (
     extract_gauss,
     random_knot_diagram,
 )
-from spatialgraphs.invariants import GaussLink, Passage
+from spatialgraphs.invariants import (
+    GaussLink,
+    Passage,
+    a2,
+    cycle_a2,
+    linking_number,
+    pair_lk,
+)
 from spatialgraphs.multigraph import GraphError, complete_graph, from_pairs
 
 
@@ -277,10 +284,20 @@ def _projection(name):
     return d, _scope_items(d.graph)
 
 
+_SHAPES = ("K6", "K7", "N9", "D4ref")
+
+
+@st.composite
+def _masks(draw, names=_SHAPES):
+    name = draw(st.sampled_from(names))
+    base, _ = _projection(name)
+    return name, draw(st.integers(0, (1 << base.crossing_count) - 1))
+
+
 @st.composite
 def _trials(draw):
-    base, items = _projection(draw(st.sampled_from(["K6", "K7", "N9", "D4ref"])))
-    mask = draw(st.integers(0, (1 << base.crossing_count) - 1))
+    name, mask = draw(_masks())
+    base, items = _projection(name)
     return base, mask, draw(st.sampled_from(items))
 
 
@@ -301,10 +318,46 @@ def test_pickled_half_filled_base_gives_identical_codes():
     items = _scope_items(base.graph)
     for item in items[::2]:
         extract_gauss(assign_over_under(base, seed=1), item)
-    assert base._walks  # clones fill the memo of the projection they share
+    assert base._memo  # clones fill the memo of the projection they share
     copy = pickle.loads(pickle.dumps(base))
     for seed in (2, 3):
         for item in items:
             expected = _geometric_gauss(assign_over_under(base, seed=seed), item)
             assert extract_gauss(assign_over_under(copy, seed=seed), item) == expected
             assert extract_gauss(assign_over_under(base, seed=seed), item) == expected
+
+
+def _compiled(d, item):
+    return cycle_a2(d, *item) if len(item) == 1 else pair_lk(d, *item)
+
+
+def _from_gauss(d, item):
+    link = extract_gauss(d, item)
+    return a2(link) if len(item) == 1 else linking_number(link)
+
+
+@functools.cache
+def _half_filled_copy(name):
+    """A pickled copy of name's projection, taken after its clones compiled
+    the forms of every other scope item into the memo they share."""
+    base, items = _projection(name)
+    fresh = diagram_from_json(diagram_to_json(base))
+    for item in items[::2]:
+        _compiled(assign_over_under(fresh, seed=1), item)
+    return pickle.loads(pickle.dumps(fresh))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_masks(_SHAPES + ("N'10", "PetersenRef")))
+def test_compiled_forms_match_gauss_codes(trial):
+    name, mask = trial
+    base, items = _projection(name)
+    clone = assign_over_under(base, mask)
+    # a freshly built diagram compiles every form anew; the pickled copy
+    # reads half of them from its memo
+    fresh = diagram_from_json(diagram_to_json(clone))
+    copied = assign_over_under(_half_filled_copy(name), mask)
+    for item in items:
+        expected = _from_gauss(clone, item)
+        assert _compiled(fresh, item) == expected, item
+        assert _compiled(copied, item) == expected, item

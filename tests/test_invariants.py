@@ -177,3 +177,25 @@ def test_cycle_a2_agrees_with_extraction(n9):
     d = assign_over_under(build_convex_diagram(n9), seed=4)
     cyc = parse_cycle(n9, "[1 3 5 8 2 4 6]")
     assert cycle_a2(d, cyc) == a2(extract_gauss(d, [cyc]))
+
+
+def test_compiled_forms_raise_like_extract_gauss(n9):
+    # a failed compile leaves no memo entry, so a second call raises again
+    base = build_convex_diagram(n9)
+    tri = parse_cycle(n9, "[1 2 3]")
+    shares_an_edge = parse_cycle(n9, "[1 2 6]")
+    shares_a_vertex = parse_cycle(n9, "[1 5 6]")
+    not_a_cycle = tri | parse_cycle(n9, "[7 8 9]")
+    for seed in (1, 2):
+        d = assign_over_under(base, seed=seed)
+        for other in (shares_an_edge, shares_a_vertex, tri):
+            with pytest.raises(GraphError, match="components share a vertex"):
+                pair_lk(d, tri, other)
+            with pytest.raises(GraphError, match="components share a vertex"):
+                extract_gauss(d, [tri, other])
+        with pytest.raises(GraphError):
+            cycle_a2(d, not_a_cycle)
+        with pytest.raises(GraphError):
+            pair_lk(d, not_a_cycle, parse_cycle(n9, "[4 5 6]"))
+    # the cycles the failed calls walked still evaluate
+    assert cycle_a2(d, tri) == a2(extract_gauss(d, [tri]))
