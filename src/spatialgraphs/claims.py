@@ -14,7 +14,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
-from functools import partial
 from random import Random
 from typing import Callable, Optional
 
@@ -139,6 +138,14 @@ def _parity_trial(census: Callable, run: TrialRun, i: int) -> dict:
     return {"trial": i, "parity": result.parity, "odd_witnesses": len(result.odd)}
 
 
+def _lk_parity_trial(run: TrialRun, i: int) -> dict:
+    return _parity_trial(lk_census, run, i)
+
+
+def _a2_parity_trial(run: TrialRun, i: int) -> dict:
+    return _parity_trial(a2_census, run, i)
+
+
 def _odd_pair_trial(run: TrialRun, i: int) -> dict:
     census = lk_census(_assignment(run, i)[1], run.scope)
     first = (
@@ -176,11 +183,11 @@ def _dichotomy_trial(run: TrialRun, i: int) -> dict:
 
 CHECKS: dict[str, Check] = {
     "cg-k6": Check(
-        _disjoint_pairs, partial(_parity_trial, lk_census), lambda r: r["parity"] == 1, 100,
+        _disjoint_pairs, _lk_parity_trial, lambda r: r["parity"] == 1, 100,
         "all_odd_parity", ("K6",),
     ),
     "cg-k7": Check(
-        _seven_cycles, partial(_parity_trial, a2_census), lambda r: r["parity"] == 1, 100,
+        _seven_cycles, _a2_parity_trial, lambda r: r["parity"] == 1, 100,
         "all_odd_parity", ("K7",),
     ),
     "d4-lemma": Check(

@@ -8,11 +8,12 @@ self-intersecting polylines.  The crossing records hold geometry only; the
 over/under state of a diagram is one integer mask, bit i set when the
 ``edge_b`` strand of crossing i is on top.  Reassigning it is cheap: a clone
 carries a new mask and shares the geometry, together with what is derived
-from it once per projection: each crossing's orientation, each cycle's walk
-through its crossings, and the a2 and lk forms that ``invariants`` compiles
-from those walks and evaluates against the mask.  ``extract_gauss`` writes
-out the Gauss code of one assignment; it serves explicit codes and is the
-reference the compiled forms are tested against.
+from it once per projection: the mask ``neg`` of crossings with negative
+cross(dir_a, dir_b), each cycle's ``CycleWalk`` and the a2 forms of
+``invariants``.  Every crossing sign is one XOR of ``neg``, the walks'
+``rev`` masks and the over/under mask (``SpatialDiagram.negative``).
+``extract_gauss`` writes out the Gauss code of one assignment; it serves
+explicit codes and is the reference the compiled forms are tested against.
 
 Randomly assigning over/under bits to a fixed projection samples honest
 spatial embeddings: every assignment of a generic projection is realizable
@@ -26,7 +27,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cycles import Cycle, cycle_walk, vertex_masks
 from .invariants import GaussLink, Passage
@@ -118,6 +119,17 @@ class Crossing:
     dir_b: Point
 
 
+class CycleWalk(NamedTuple):
+    """What a projection fixes about one cycle; masks are over crossing ids."""
+
+    start: int  # the smallest vertex, where cycle_walk starts
+    passages: tuple[tuple[int, int], ...]  # (crossing, side) in walk order
+    vertices: int  # the cycle's vertex_masks entry
+    touch: int  # crossings with a strand on the cycle
+    own: int  # self-crossings: both strands on the cycle
+    rev: int  # crossings where an odd number of the cycle's strands run v to u
+
+
 class SpatialDiagram:
     """A certified-generic polyline diagram of a multigraph."""
 
@@ -146,11 +158,11 @@ class SpatialDiagram:
         self._per_edge = self._index_per_edge()
         # over/under: bit i set puts the edge_b strand of crossing i on top
         self.mask = 0
-        # mask-independent data, shared by every over/under clone: the sign
-        # of cross(dir_a, dir_b) per crossing, and one memo per projection
-        # that holds _walk's entry per cycle and the compiled a2 and lk forms
-        # of invariants, immutable ints and tuples all
-        self._orient = tuple(1 if _cross(c.dir_a, c.dir_b) > 0 else -1 for c in self.crossings)
+        # mask-independent data, shared by every over/under clone: the
+        # crossings where cross(dir_a, dir_b) < 0, and one memo per
+        # projection that holds each cycle's CycleWalk and the a2 forms of
+        # invariants, immutable ints and tuples all
+        self.neg = sum(1 << c.cid for c in self.crossings if _cross(c.dir_a, c.dir_b) < 0)
         self._memo: dict = {}
 
     # -- geometry ------------------------------------------------------------
@@ -263,16 +275,48 @@ class SpatialDiagram:
         return False
 
     def _index_per_edge(self):
-        # side 0 is a crossing's edge_a strand, side 1 its edge_b strand
+        # per edge: its (crossing, side) strands from u to v, side 1 being a
+        # crossing's edge_b strand, and the mask of those crossings
         per: dict[int, list[tuple[Fraction, int, int]]] = {e: [] for e in self.edges}
         for c in self.crossings:
             per[c.edge_a].append((c.param_a, c.cid, 0))
             per[c.edge_b].append((c.param_b, c.cid, 1))
-        return {e: tuple(sorted(lst)) for e, lst in per.items()}
+        return {e: (tuple(p[1:] for p in sorted(lst)), sum(1 << p[1] for p in lst))
+                for e, lst in per.items()}
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
+
+    def walk(self, cycle: Cycle) -> CycleWalk:
+        """The cycle's CycleWalk, computed once per projection."""
+        memo = self._memo.get(cycle)
+        if memo is None:
+            steps = cycle_walk(self.graph, cycle)
+            passages: list[tuple[int, int]] = []
+            touch = own = rev = 0
+            for tail, eid in steps:
+                # an edge never crosses itself, so its crossings are distinct
+                strands, crossed = self._per_edge[eid]
+                if self.graph.endpoints(eid)[0] == tail:
+                    passages.extend(strands)
+                else:
+                    passages.extend(reversed(strands))
+                    rev ^= crossed
+                own |= touch & crossed
+                touch |= crossed
+            vertices = vertex_masks(self.graph, [cycle])[0]
+            memo = CycleWalk(steps[0][0], tuple(passages), vertices, touch, own, rev)
+            self._memo[cycle] = memo
+        return memo
+
+    def negative(self, mask: int, *walks: CycleWalk) -> int:
+        """Bit c set when crossing c, both strands on the given disjoint
+        cycles, is negative under over/under mask: a crossing is +1 when the
+        walked under direction is a positive quarter turn of the over one."""
+        for w in walks:
+            mask ^= w.rev
+        return mask ^ self.neg
 
 
 def assign_over_under(
@@ -296,60 +340,32 @@ def assign_over_under(
 # -- Gauss code extraction ----------------------------------------------------
 
 
-def _walk(d: SpatialDiagram, cycle: Cycle) -> tuple:
-    """(smallest vertex, passages, vertex mask) of a cycle, computed once per
-    projection.
-
-    The passages are (eid, walk_dir, cid, side, other_edge) in walk order,
-    with walk_dir +1 when eid is walked from stored u to stored v and side
-    1 when eid is the crossing's edge_b; none of it depends on the mask.
-    The vertex mask is the cycle's vertex_masks entry.
-    """
-    memo = d._memo.get(cycle)
-    if memo is None:
-        walk = cycle_walk(d.graph, cycle)
-        passages = []
-        for tail, eid in walk:
-            forward = d.graph.endpoints(eid)[0] == tail
-            per = d._per_edge[eid]
-            for _, cid, side in per if forward else reversed(per):
-                c = d.crossings[cid]
-                other = c.edge_a if side else c.edge_b
-                passages.append((eid, 1 if forward else -1, cid, side, other))
-        memo = d._memo[cycle] = (walk[0][0], tuple(passages), vertex_masks(d.graph, [cycle])[0])
-    return memo
-
-
 def extract_gauss(d: SpatialDiagram, components: Iterable[Cycle]) -> GaussLink:
     """Gauss code of the sub-diagram spanned by disjoint cycles of d's graph.
 
     Components that share a vertex, and so any that share an edge, raise
     GraphError.  Crossings where only one strand belongs to the chosen
-    cycles are not passages.  Crossing signs follow the right-handed
-    convention: +1 when the under direction is a positive quarter turn of
-    the over direction.
+    cycles are not passages.  Signs are those of SpatialDiagram.negative.
     """
     comps = [frozenset(c) for c in components]
-    walks = {c: _walk(d, c) for c in comps}
-    comps = sorted(comps, key=lambda c: (walks[c][0], sorted(c)))
-    seen = 0
+    walks = {c: d.walk(c) for c in comps}
+    comps = sorted(comps, key=lambda c: (walks[c].start, sorted(c)))
+    seen = touched = inside = 0
     for c in comps:
-        if seen & walks[c][2]:
+        w = walks[c]
+        if seen & w.vertices:
             raise GraphError("components share a vertex")
-        seen |= walks[c][2]
-    all_eids = set().union(*comps)
-
-    walk_dirs = {eid: w for c in comps for eid, w, _, _, _ in walks[c][1]}
+        seen |= w.vertices
+        inside |= w.own | (w.touch & touched)
+        touched |= w.touch
+    negative = d.negative(d.mask, *walks.values())
     out_components = []
     for c in comps:
         passages = []
-        for _, _, cid, side, other in walks[c][1]:
-            if other in all_eids:
-                x = d.crossings[cid]
+        for cid, side in walks[c].passages:
+            if inside >> cid & 1:
                 b_over = d.mask >> cid & 1
-                # cross(d_over, d_under) of the walked directions, in integers
-                sign = d._orient[cid] * walk_dirs[x.edge_a] * walk_dirs[x.edge_b]
-                passages.append(Passage(cid, side == b_over, -sign if b_over else sign))
+                passages.append(Passage(cid, side == b_over, -1 if negative >> cid & 1 else 1))
         out_components.append(tuple(passages))
     return GaussLink(tuple(out_components))
 
@@ -490,17 +506,20 @@ def diagram_from_json(text: str) -> SpatialDiagram:
     # replay the stored over/under onto the recomputed crossings
     by_key = {(c.edge_a, c.param_a, c.edge_b, c.param_b): c.cid for c in d.crossings}
     mask = 0
-    matched = 0
+    matched: set[int] = set()
     for rec in doc["crossings"]:
         over = (rec["over_edge"], _frac(rec["over_param"]))
         under = (rec["under_edge"], _frac(rec["under_param"]))
         if over + under in by_key:
-            matched += 1
+            cid = by_key[over + under]
         elif under + over in by_key:
-            mask |= 1 << by_key[under + over]
-            matched += 1
+            cid = by_key[under + over]
+            mask |= 1 << cid
         else:
             raise GraphError("stored crossing does not match the geometry")
-    if matched != d.crossing_count:
+        if cid in matched:
+            raise GraphError(f"crossing {cid} is stored twice")
+        matched.add(cid)
+    if len(matched) != d.crossing_count:
         raise GraphError("crossing list does not match the geometry")
     return assign_over_under(d, mask)

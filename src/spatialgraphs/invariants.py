@@ -297,11 +297,10 @@ def a2(knot: GaussLink) -> int:
 # -- diagram-level censuses ------------------------------------------------------
 
 
-# A census reads each scope item from a form compiled once per projection
-# from diagrams._walk's passages and kept in the projection's memo, which
-# every over/under clone shares; a failed compile leaves no entry.  In a
-# clone with mask m, crossing c has the sign s_c * (1 - 2 b_c) of
-# extract_gauss, where b_c is bit c of m and s_c its sign at b_c = 0.
+# A cycle's a2 is read from a form compiled once per projection from its
+# CycleWalk and kept in the projection's memo, which every over/under clone
+# shares; a failed compile leaves no entry.  A pair's linking number needs
+# no form: the two cycles' walks give it directly.
 
 
 def _a2_form(d, cycle: frozenset) -> tuple:
@@ -309,43 +308,38 @@ def _a2_form(d, cycle: frozenset) -> tuple:
     when self-crossing c is first met under.
 
     A2_CLASS counts the interleaved pairs (p, q), p first met before q, with
-    p first met under and q first met over.  Those two facts fix b_p and b_q,
-    and with them the pair's sign product.  A row (bit p, |pos| - |neg|, pos,
-    neg) holds the crossings q interleaved after p, split by that product.
+    p first met under and q first met over.  Switching a crossing flips its
+    sign, so the pair's sign product is minus the product of the two signs
+    with both crossings first met over, the assignment mask = flip.  A row
+    (bit p, |pos| - |neg|, pos, neg) holds the crossings q interleaved after
+    p, split by that product.
     """
     key = ("a2", cycle)
     form = d._memo.get(key)
     if form is None:
-        from .diagrams import _walk
-
-        passages = [p for p in _walk(d, cycle)[1] if p[4] in cycle]
-        dirs = {eid: w for eid, w, _, _, _ in passages}
+        w = d.walk(cycle)
         first: dict[int, int] = {}  # in order of first passage
         last: dict[int, int] = {}
-        # s_c * (2 f_c - 1), f_c the strand side of c's first passage: the
-        # sign of p under first is +t_p, of q over first -t_q
-        t: dict[int, int] = {}
         flip = 0
-        for i, (_, w, cid, side, other) in enumerate(passages):
+        for i, (cid, side) in enumerate(p for p in w.passages if w.own >> p[0] & 1):
             if cid in first:
                 last[cid] = i
-                continue
-            first[cid] = i
-            flip |= side << cid
-            t[cid] = d._orient[cid] * w * dirs[other] * (1 if side else -1)
+            else:
+                first[cid] = i
+                flip |= side << cid
+        over_neg = d.negative(flip, w)
         order = list(first)
         rows = []
         for i, p in enumerate(order):
-            pos = neg = 0
+            later = 0
             for q in order[i + 1 :]:
                 if first[q] > last[p]:
                     break
                 if last[p] < last[q]:
-                    if t[p] == t[q]:
-                        neg |= 1 << q
-                    else:
-                        pos |= 1 << q
-            if pos | neg:
+                    later |= 1 << q
+            if later:
+                neg = later & (over_neg if over_neg >> p & 1 else ~over_neg)
+                pos = later ^ neg
                 rows.append((1 << p, pos.bit_count() - neg.bit_count(), pos, neg))
         form = d._memo[key] = (flip, tuple(rows))
     return form
@@ -362,38 +356,17 @@ def cycle_a2(d, cycle) -> int:
     return total
 
 
-def _lk_form(d, ca: frozenset, cb: frozenset) -> tuple:
-    """(half, pos, neg) of a pair: its crossings split by their sign at
-    b = 0, and half = (|pos| - |neg|) / 2."""
-    key = ("lk", ca, cb)
-    form = d._memo.get(key)
-    if form is None:
-        from .diagrams import _walk
-
-        _, passages_a, vertices_a = _walk(d, ca)
-        _, passages_b, vertices_b = _walk(d, cb)
-        if vertices_a & vertices_b:
-            raise GraphError("components share a vertex")
-        dirs_b = {eid: w for eid, w, _, _, _ in passages_b}
-        pos = neg = 0
-        for _, w, cid, _, other in passages_a:
-            if other in cb:
-                if d._orient[cid] * w * dirs_b[other] > 0:
-                    pos |= 1 << cid
-                else:
-                    neg |= 1 << cid
-        half, odd = divmod(pos.bit_count() - neg.bit_count(), 2)
-        if odd:
-            raise GraphError("odd inter-component crossing sum; code is inconsistent")
-        form = d._memo[key] = (half, pos, neg)
-    return form
-
-
 def pair_lk(d, ca, cb) -> int:
-    """linking_number(extract_gauss(d, [ca, cb])), read from the pair's
-    compiled form."""
-    half, pos, neg = _lk_form(d, frozenset(ca), frozenset(cb))
-    return half - (pos & d.mask).bit_count() + (neg & d.mask).bit_count()
+    """linking_number(extract_gauss(d, [ca, cb])): half the signed count of
+    the crossings between the two cycles' walks."""
+    wa, wb = d.walk(frozenset(ca)), d.walk(frozenset(cb))
+    if wa.vertices & wb.vertices:
+        raise GraphError("components share a vertex")
+    x = wa.touch & wb.touch
+    total = x.bit_count() - 2 * (d.negative(d.mask, wa, wb) & x).bit_count()
+    if total % 2:
+        raise GraphError("odd inter-component crossing sum; code is inconsistent")
+    return total // 2
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,8 @@ def test_verify_jobs_under_spawn_matches_serial(capsys):
 
 
 def test_spatial_a2_jobs_under_spawn_matches_serial(capsys):
-    # each worker unpickles the projection and compiles forms into its own
-    # copy of the memo; cg-k6 reads only lk forms, cg-k7 a2 forms
+    # each worker unpickles the projection and fills its own copy of the
+    # memo; cg-k6 reads only cycle walks, cg-k7 also a2 forms
     _assert_spawned_jobs_match_serial(
         capsys, ["spatial", "--graph", "K7", "--check", "cg-k7", "--trials", "4", "--format", "json"])
 
@@ -202,7 +202,9 @@ def test_spatial_a2_jobs_under_spawn_matches_serial(capsys):
 # fields dropped.  The first five were recorded before the trial loops of
 # `verify` and `spatial` were merged into one engine; the cg-k7, d4-lemma,
 # prop24-phi and apex-proper-minors pins before the cycle walks, the
-# disjoint-cycle searches and the parity trials were each merged into one
+# disjoint-cycle searches and the parity trials were each merged into one;
+# the invariant-oracle pin, the one report written from extract_gauss's
+# codes, before the crossing signs were read off per-cycle masks
 PINNED_REPORTS = {
     "spatial --graph PetersenRef --check petersen-lk --trials 3 --seed 5":
         "44eed743555043b87040f7037d818af3366017ca9a9b7b85f69247df3037c0bd",
@@ -222,6 +224,8 @@ PINNED_REPORTS = {
         "ba687b7daaa63fd32fc29e30365dc3402c822fb257e9a5a398b7dfd18705b87a",
     "verify apex-proper-minors --seed 0":
         "ff153071f451320ca8279c0c124468d526fc63e4e3b4d1ffa2ad459773bbae12",
+    "verify invariant-oracle --trials 5 --seed 1":
+        "b3ef9bc7979c04fad2e84b36b213d1113df0acfead392583ad72e75ae251bddc",
 }
 
 # sha256 of the manifest.json written by `families --seed K6 --out`

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -205,6 +206,19 @@ def test_json_round_trip_preserves_crossings():
     assert back.crossing_count == d.crossing_count
     assert _edges_on_top(back) == _edges_on_top(d)
     assert back.positions == d.positions
+
+
+def test_json_rejects_a_crossing_stored_twice():
+    # naming one crossing twice, in its own or the other over/under order,
+    # leaves another unnamed; that crossing must not silently load as bit 0
+    doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(6), seed=0)))
+    first = doc["crossings"][0]
+    swapped = dict(first, over_edge=first["under_edge"], over_param=first["under_param"],
+                   under_edge=first["over_edge"], under_param=first["over_param"])
+    for repeat in (first, swapped):
+        doc["crossings"][1] = repeat
+        with pytest.raises(GraphError, match="stored twice"):
+            diagram_from_json(json.dumps(doc))
 
 
 # sha256 of diagram_to_json, recorded with the per-crossing over flags the
