@@ -20,6 +20,7 @@ import networkx as nx
 
 from .canon import canonical_form
 from .cycles import MinorModel
+from .diagrams import SpatialDiagram
 from .exchange import ClosureResult, closure
 from .invariants import GaussLink, parse_gauss
 from .multigraph import (
@@ -403,8 +404,6 @@ def d4_reference_diagram():
     bigon pairs use disjoint crossing sets and every parity combination is
     realized by some over/under assignment.
     """
-    from .diagrams import SpatialDiagram
-
     F = Fraction
     g = fixture("D4")
     positions = {1: (F(0), F(0)), 2: (F(2), F(4)), 3: (F(1), F(1)), 4: (F(3), F(9))}

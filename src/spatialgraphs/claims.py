@@ -36,6 +36,7 @@ from .diagrams import (
     extract_gauss,
     random_knot_diagram,
 )
+from .exchange import triangles
 from .invariants import (
     a2,
     alpha,
@@ -306,8 +307,6 @@ def claim_theorem1_equivalence(trials, seed, jobs):
 
 
 def claim_prop24_phi(trials, seed, jobs):
-    from .exchange import triangles
-
     fam = heawood_family()
     flags = {r.certificate.hex: r.gamma3_empty for r in fam.records}
     checked = 0

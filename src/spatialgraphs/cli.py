@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .canon import canonical_form
-from .catalog import fixture, fixture_names, petersen_family
+from .catalog import fixture, fixture_names, heawood_family, k3311_family, petersen_family
 from .claims import CHECKS, CLAIMS, run_claim, run_trials
 from .exchange import closure, write_manifest
 from .invariants import GaussLink, format_gauss
@@ -142,8 +142,6 @@ def _render(node, depth: int) -> None:
 def cmd_families(args) -> int:
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
     if args.seed in _FAMILY_SEEDS and set(moves) == {"dy", "yd"}:
-        from .catalog import heawood_family, k3311_family
-
         result = {
             "K6": petersen_family,
             "K7": heawood_family,

@@ -2,16 +2,19 @@
 
 A diagram places vertices at rational points and routes every edge as a
 polyline.  All intersection tests run in exact arithmetic over fractions,
-and construction certifies generic position: transversal double points
-only, no vertex on a foreign edge, no triple points, no overlapping or
-self-intersecting polylines.  The crossing records hold geometry only; the
-over/under state of a diagram is one integer mask, bit i set when the
-``edge_b`` strand of crossing i is on top.  Reassigning it is cheap: a clone
-carries a new mask and shares the geometry, together with what is derived
-from it once per projection: the mask ``neg`` of crossings with negative
-cross(dir_a, dir_b), each cycle's ``CycleWalk`` and the a2 forms of
-``invariants``.  Every crossing sign is one XOR of ``neg``, the walks'
-``rev`` masks and the over/under mask (``SpatialDiagram.negative``).
+and construction certifies generic position in one sweep: each segment is
+checked alone (it has length, and no vertex lies on it but at its ends),
+then every pair of segments is tested once.  Two segments may meet only at
+a shared end vertex, at the waypoint joining consecutive segments of one
+edge, or in a transversal crossing of two different edges inside both;
+no three strands meet at a point.  The crossing records hold geometry
+only; the over/under state of a diagram is one integer mask, bit i set
+when the ``edge_b`` strand of crossing i is on top.  Reassigning it is
+cheap: a clone carries a new mask and shares the geometry, together with
+what is derived from it once per projection: the mask ``neg`` of crossings
+with negative cross(dir_a, dir_b), each cycle's ``CycleWalk`` and the a2
+forms of ``invariants``.  Every crossing sign is one XOR of ``neg``, the
+walks' ``rev`` masks and the over/under mask (``SpatialDiagram.negative``).
 ``extract_gauss`` writes out the Gauss code of one assignment; it serves
 explicit codes and is the reference the compiled forms are tested against.
 
@@ -31,7 +34,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cycles import Cycle, cycle_walk, vertex_masks
 from .invariants import GaussLink, Passage
-from .multigraph import GraphError, MultiGraph
+from .multigraph import GraphError, MultiGraph, from_pairs
 
 Point = tuple[Fraction, Fraction]
 
@@ -103,9 +106,6 @@ class DiagramEdge:
     # polyline from position(u) to position(v); interior points are waypoints
     polyline: tuple[Point, ...]
 
-    def segments(self):
-        return list(zip(self.polyline, self.polyline[1:]))
-
 
 @dataclass(frozen=True)
 class Crossing:
@@ -147,11 +147,11 @@ class SpatialDiagram:
             raise GenericityError("two vertices share a position")
         edges = {}
         for eid, u, v in graph.edges:
-            pl = tuple((Fraction(x), Fraction(y)) for x, y in polylines[eid])
-            if pl[0] != self.positions[u] or pl[-1] != self.positions[v]:
-                raise GraphError(f"polyline of edge {eid} does not join its endpoints")
+            pl = tuple((Fraction(x), Fraction(y)) for x, y in polylines.get(eid, ()))
             if len(pl) < 2:
                 raise GraphError(f"polyline of edge {eid} has no segment")
+            if pl[0] != self.positions[u] or pl[-1] != self.positions[v]:
+                raise GraphError(f"polyline of edge {eid} does not join its endpoints")
             edges[eid] = DiagramEdge(eid, u, v, pl)
         self.edges = edges
         self.crossings = self._compute_crossings()
@@ -168,15 +168,48 @@ class SpatialDiagram:
     # -- geometry ------------------------------------------------------------
 
     def _compute_crossings(self) -> tuple[Crossing, ...]:
-        raw = []
-        eids = sorted(self.edges)
+        """Certify generic position; return the crossings sorted by
+        (edge_a, param_a, edge_b, param_b), edge_a < edge_b.
+
+        Each segment is checked alone first: it has length and no vertex
+        lies on it but at its ends, so a polyline meets a vertex point only
+        at its own end vertices.  Then every pair of segments is tested
+        once.  Segments that meet at a vertex point both end there, and
+        consecutive segments of one edge meet only at their shared waypoint
+        unless they overlap; any other meeting must be a crossing of two
+        edges inside both segments."""
         vertex_points = set(self.positions.values())
-        for e in eids:
-            self._check_polyline(self.edges[e], vertex_points)
-        for i, ea in enumerate(eids):
-            for eb in eids[i + 1 :]:
-                raw.extend(self._pair_crossings(self.edges[ea], self.edges[eb]))
-        raw.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+        segs = []  # (edge, index, start, end), ordered by edge id and index
+        for eid in sorted(self.edges):
+            pl = self.edges[eid].polyline
+            if vertex_points.intersection(pl[1:-1]):
+                raise GenericityError(f"edge {eid} passes through a vertex")
+            for idx, (a, b) in enumerate(zip(pl, pl[1:])):
+                if a == b:
+                    raise GenericityError(f"edge {eid} has a zero-length segment")
+                if any(vp not in (a, b) and _point_on_segment(vp, a, b) for vp in vertex_points):
+                    raise GenericityError(f"a vertex lies on edge {eid}")
+                segs.append((eid, idx, a, b))
+        raw = []
+        for i, (ea, ia, a1, a2) in enumerate(segs):
+            for eb, ib, b1, b2 in segs[i + 1 :]:
+                res = _seg_intersection(a1, a2, b1, b2)
+                if res[0] == "none":
+                    continue
+                same = ea == eb
+                if res[0] == "overlap":
+                    raise GenericityError(
+                        f"edge {ea} overlaps itself" if same else f"edges {ea} and {eb} overlap"
+                    )
+                _, t, s, pt = res
+                if pt in vertex_points or (same and ib == ia + 1):
+                    continue
+                if same:
+                    raise GenericityError(f"edge {ea} crosses itself")
+                if t in (0, 1) or s in (0, 1):
+                    raise GenericityError(f"edges {ea} and {eb} touch without crossing")
+                raw.append((ea, ia + t, eb, ib + s, pt, _sub(a2, a1), _sub(b2, b1)))
+        raw.sort(key=lambda c: c[:4])
         pts = {}
         out = []
         for cid, (ea, pa, eb, pb, pt, da, db) in enumerate(raw):
@@ -185,94 +218,6 @@ class SpatialDiagram:
             pts[pt] = cid
             out.append(Crossing(cid, ea, pa, eb, pb, pt, da, db))
         return tuple(out)
-
-    def _check_polyline(self, de: DiagramEdge, vertex_points: set) -> None:
-        segs = de.segments()
-        pu, pv = self.positions[de.u], self.positions[de.v]
-        own_ends = {pu, pv}
-        # interior waypoints must not sit on vertices
-        for pt in de.polyline[1:-1]:
-            if pt in vertex_points:
-                raise GenericityError(f"edge {de.eid} passes through a vertex")
-        for idx, (a, b) in enumerate(segs):
-            if a == b:
-                raise GenericityError(f"edge {de.eid} has a zero-length segment")
-            # no vertex in a segment interior
-            for vp in vertex_points:
-                if vp in (a, b):
-                    continue
-                if _point_on_segment(vp, a, b):
-                    raise GenericityError(f"a vertex lies on edge {de.eid}")
-        # self-intersection check between non-adjacent segments
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                res = _seg_intersection(*segs[i], *segs[j])
-                if res[0] == "overlap":
-                    raise GenericityError(f"edge {de.eid} overlaps itself")
-                if res[0] == "point":
-                    if j == i + 1:
-                        if res[3] == segs[i][1]:
-                            continue  # shared waypoint
-                        raise GenericityError(f"edge {de.eid} touches itself")
-                    # a loop's first and last segments legitimately share the
-                    # base vertex
-                    if (
-                        de.u == de.v
-                        and i == 0
-                        and j == len(segs) - 1
-                        and res[3] == pu
-                    ):
-                        continue
-                    raise GenericityError(f"edge {de.eid} crosses itself")
-
-    def _pair_crossings(self, da: DiagramEdge, db: DiagramEdge):
-        shared = ({self.positions[da.u], self.positions[da.v]}
-                  & {self.positions[db.u], self.positions[db.v]})
-        segs_a, segs_b = da.segments(), db.segments()
-        found = []
-        for i, (a1, a2) in enumerate(segs_a):
-            for j, (b1, b2) in enumerate(segs_b):
-                res = _seg_intersection(a1, a2, b1, b2)
-                if res[0] == "none":
-                    continue
-                if res[0] == "overlap":
-                    raise GenericityError(
-                        f"edges {da.eid} and {db.eid} overlap"
-                    )
-                _, t, s, pt = res
-                if pt in shared:
-                    # meeting at a common endpoint vertex is not a crossing,
-                    # but only terminal segment tips may do it
-                    if self._is_terminal_tip(da, i, t, pt) and self._is_terminal_tip(db, j, s, pt):
-                        continue
-                    raise GenericityError(
-                        f"edges {da.eid} and {db.eid} touch a shared vertex improperly"
-                    )
-                if t in (0, 1) or s in (0, 1):
-                    raise GenericityError(
-                        f"edges {da.eid} and {db.eid} touch without crossing"
-                    )
-                found.append(
-                    (
-                        da.eid,
-                        Fraction(i) + t,
-                        db.eid,
-                        Fraction(j) + s,
-                        pt,
-                        _sub(a2, a1),
-                        _sub(b2, b1),
-                    )
-                )
-        return found
-
-    @staticmethod
-    def _is_terminal_tip(de: DiagramEdge, seg_idx: int, t, pt: Point) -> bool:
-        segs = de.segments()
-        if seg_idx == 0 and t == 0 and pt == de.polyline[0]:
-            return True
-        if seg_idx == len(segs) - 1 and t == 1 and pt == de.polyline[-1]:
-            return True
-        return False
 
     def _index_per_edge(self):
         # per edge: its (crossing, side) strands from u to v, side 1 being a
@@ -437,8 +382,6 @@ def random_knot_diagram(seed: int, max_crossings: int = 16) -> tuple[SpatialDiag
     """A random knot: a 7-cycle drawn in convex position with the vertices
     in a shuffled circular order and uniformly random over/under bits.
     Orders yielding more than max_crossings crossings are rejected."""
-    from .multigraph import from_pairs
-
     n = _KNOT_VERTICES
     g = from_pairs([(i, i % n + 1) for i in range(1, n + 1)])
     cycle = frozenset(g.edge_ids())
@@ -461,7 +404,10 @@ def _frac_str(x: Fraction) -> str:
 
 def _frac(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError) as err:
+        raise GraphError(f"not a fraction: {s!r}") from err
 
 
 def diagram_to_json(d: SpatialDiagram) -> str:

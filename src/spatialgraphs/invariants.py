@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .cycles import all_cycles, disjoint_cycle_tuples
 from .multigraph import GraphError
 
 
@@ -393,8 +394,6 @@ def lk_census(d, pairs: Iterable) -> Census:
 
 def alpha_scope(g) -> tuple:
     """The 16 four-edge cycles of a doubled four-cycle g, in all_cycles order."""
-    from .cycles import all_cycles
-
     quads = tuple(c for c in all_cycles(g) if len(c) == 4)
     if len(quads) != 16:
         raise GraphError(f"expected 16 four-edge cycles, found {len(quads)}")
@@ -423,8 +422,6 @@ def dichotomy_scope(g) -> tuple[tuple, tuple]:
     """The cycles and disjoint triples of g in the order dichotomy_witness
     searches them: cycles by length, then in all_cycles order, and the
     triples in disjoint_cycle_tuples order."""
-    from .cycles import all_cycles, disjoint_cycle_tuples
-
     return tuple(sorted(all_cycles(g), key=len)), disjoint_cycle_tuples(g, 3)
 
 

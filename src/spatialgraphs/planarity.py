@@ -15,6 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
+from .minors import one_step_reductions
 from .multigraph import MultiGraph, delete_vertex, simplify
 
 
@@ -95,8 +96,6 @@ def all_proper_minors_2apex(g: MultiGraph) -> tuple[bool, list[str]]:
     minors), so covering the one-step reductions covers all proper minors.
     Returns (ok, failing reduction labels).
     """
-    from .minors import one_step_reductions
-
     failures = []
     for label, graph in one_step_reductions(g):
         if not is_k_apex(graph, 2):

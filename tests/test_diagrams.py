@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,14 @@ from hypothesis import strategies as st
 from spatialgraphs.catalog import d4_reference_diagram, fixture
 from spatialgraphs.cycles import all_cycles, cycle_order, cycle_walk, disjoint_cycle_tuples
 from spatialgraphs.diagrams import (
+    Crossing,
+    DiagramEdge,
     GenericityError,
     SpatialDiagram,
     _cross,
+    _point_on_segment,
+    _seg_intersection,
+    _sub,
     assign_over_under,
     build_convex_diagram,
     diagram_from_json,
@@ -109,6 +115,190 @@ def test_collinear_edges_may_meet_at_their_shared_vertex():
     pos = {1: (0, 0), 2: (2, 0), 3: (1, 0)}
     d = SpatialDiagram(g, pos, {0: (pos[1], pos[3]), 1: (pos[2], pos[3])})
     assert d.crossing_count == 0
+
+
+@pytest.mark.parametrize("polylines", [{}, {0: ()}], ids=["missing", "empty"])
+def test_polyline_without_segment_rejected(polylines):
+    g = from_pairs([(1, 2)])
+    with pytest.raises(GraphError, match="no segment"):
+        SpatialDiagram(g, {1: (0, 0), 2: (1, 0)}, polylines)
+
+
+# (pairs, positions, polylines by edge id, the reason a drawing is rejected)
+_REJECTED = {
+    "zero-length segment": (
+        [(1, 2)], {1: (0, 0), 2: (2, 0)}, {0: ((0, 0), (1, 1), (1, 1), (2, 0))},
+        "zero-length segment",
+    ),
+    "waypoint on a vertex": (
+        [(1, 2), (3, 4)], {1: (0, 0), 2: (2, 0), 3: (1, 1), 4: (1, 3)},
+        {0: ((0, 0), (1, 1), (2, 0)), 1: ((1, 1), (1, 3))},
+        "passes through a vertex",
+    ),
+    "two edges overlap": (
+        [(1, 2), (1, 2)], {1: (0, 0), 2: (2, 0)}, {0: ((0, 0), (2, 0)), 1: ((0, 0), (2, 0))},
+        "edges 0 and 1 overlap",
+    ),
+    "one edge crosses itself": (
+        [(1, 2)], {1: (0, 0), 2: (0, 2)}, {0: ((0, 0), (2, 2), (2, 0), (0, 2))},
+        "edge 0 crosses itself",
+    ),
+    "waypoint on another edge": (
+        [(1, 2), (3, 4)], {1: (0, 0), 2: (2, 0), 3: (1, -1), 4: (3, 1)},
+        {0: ((0, 0), (2, 0)), 1: ((1, -1), (1, 0), (3, 1))},
+        "touch without crossing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _REJECTED.values(), ids=list(_REJECTED))
+def test_non_generic_drawing_rejected(case):
+    pairs, pos, polylines, reason = case
+    with pytest.raises(GenericityError, match=reason):
+        SpatialDiagram(from_pairs(pairs), pos, polylines)
+
+
+def test_loop_and_parallel_pair_accepted():
+    # a loop at vertex 1 crossed once by the edge 2-3
+    pos = {1: (0, 0), 2: (1, 0), 3: (3, 0)}
+    loop = ((0, 0), (2, 1), (2, -1), (0, 0))
+    d = SpatialDiagram(from_pairs([(1, 1), (2, 3)]), pos, {0: loop, 1: (pos[2], pos[3])})
+    assert [(c.edge_a, c.param_a, c.edge_b, c.param_b, c.point) for c in d.crossings] == [
+        (0, Fraction(3, 2), 1, Fraction(1, 2), (2, 0))
+    ]
+    # a straight edge and a bent one between the same two vertices
+    pos = {1: (0, 0), 2: (2, 0)}
+    d = SpatialDiagram(from_pairs([(1, 2), (1, 2)]), pos, {0: (pos[1], pos[2]), 1: (pos[1], (1, 1), pos[2])})
+    assert d.crossing_count == 0
+
+
+class _PairwiseCertifier:
+    """The certification the one segment-pair sweep replaced, kept as its
+    oracle: each polyline checked alone, then every pair of edges."""
+
+    def __init__(self, d_positions, edges):
+        self.positions = d_positions
+        self.edges = edges
+
+    @staticmethod
+    def _segments(de):
+        return list(zip(de.polyline, de.polyline[1:]))
+
+    def crossings(self):
+        raw = []
+        eids = sorted(self.edges)
+        vertex_points = set(self.positions.values())
+        for e in eids:
+            self._check_polyline(self.edges[e], vertex_points)
+        for i, ea in enumerate(eids):
+            for eb in eids[i + 1 :]:
+                raw.extend(self._pair_crossings(self.edges[ea], self.edges[eb]))
+        raw.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+        pts = {}
+        out = []
+        for cid, (ea, pa, eb, pb, pt, da, db) in enumerate(raw):
+            if pt in pts:
+                raise GenericityError(f"triple point at {pt}")
+            pts[pt] = cid
+            out.append(Crossing(cid, ea, pa, eb, pb, pt, da, db))
+        return tuple(out)
+
+    def _check_polyline(self, de, vertex_points):
+        segs = self._segments(de)
+        pu = self.positions[de.u]
+        for pt in de.polyline[1:-1]:
+            if pt in vertex_points:
+                raise GenericityError(f"edge {de.eid} passes through a vertex")
+        for a, b in segs:
+            if a == b:
+                raise GenericityError(f"edge {de.eid} has a zero-length segment")
+            for vp in vertex_points:
+                if vp not in (a, b) and _point_on_segment(vp, a, b):
+                    raise GenericityError(f"a vertex lies on edge {de.eid}")
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                res = _seg_intersection(*segs[i], *segs[j])
+                if res[0] == "overlap":
+                    raise GenericityError(f"edge {de.eid} overlaps itself")
+                if res[0] == "point":
+                    if j == i + 1:
+                        if res[3] == segs[i][1]:
+                            continue
+                        raise GenericityError(f"edge {de.eid} touches itself")
+                    if de.u == de.v and i == 0 and j == len(segs) - 1 and res[3] == pu:
+                        continue
+                    raise GenericityError(f"edge {de.eid} crosses itself")
+
+    def _pair_crossings(self, da, db):
+        shared = ({self.positions[da.u], self.positions[da.v]}
+                  & {self.positions[db.u], self.positions[db.v]})
+        found = []
+        for i, (a1, a2) in enumerate(self._segments(da)):
+            for j, (b1, b2) in enumerate(self._segments(db)):
+                res = _seg_intersection(a1, a2, b1, b2)
+                if res[0] == "none":
+                    continue
+                if res[0] == "overlap":
+                    raise GenericityError(f"edges {da.eid} and {db.eid} overlap")
+                _, t, s, pt = res
+                if pt in shared:
+                    if self._is_terminal_tip(da, i, t, pt) and self._is_terminal_tip(db, j, s, pt):
+                        continue
+                    raise GenericityError(
+                        f"edges {da.eid} and {db.eid} touch a shared vertex improperly"
+                    )
+                if t in (0, 1) or s in (0, 1):
+                    raise GenericityError(f"edges {da.eid} and {db.eid} touch without crossing")
+                found.append((da.eid, Fraction(i) + t, db.eid, Fraction(j) + s, pt,
+                              _sub(a2, a1), _sub(b2, b1)))
+        return found
+
+    def _is_terminal_tip(self, de, seg_idx, t, pt):
+        if seg_idx == 0 and t == 0 and pt == de.polyline[0]:
+            return True
+        n = len(self._segments(de))
+        return seg_idx == n - 1 and t == 1 and pt == de.polyline[-1]
+
+
+_GRID = st.tuples(st.integers(0, 4), st.integers(0, 4))
+# waypoints on the half grid: a quarter of its points are vertex grid points
+_HALF_GRID = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+    lambda p: (Fraction(p[0], 2), Fraction(p[1], 2)))
+
+
+@st.composite
+def _grid_drawings(draw):
+    """Small-grid drawings with loops, parallel edges and waypoints; many
+    are not generic."""
+    n = draw(st.integers(3, 6))
+    pos = dict(zip(range(1, n + 1), draw(st.lists(_GRID, min_size=n, max_size=n, unique=True))))
+    ends = st.integers(1, n)
+    g = from_pairs(draw(st.lists(st.tuples(ends, ends), min_size=2, max_size=7)), pos)
+    polylines = {}
+    for eid, u, v in g.edges:
+        way = draw(st.lists(_HALF_GRID, min_size=2 if u == v else 0, max_size=3 if u == v else 2))
+        polylines[eid] = (pos[u], *way, pos[v])
+    return g, pos, polylines
+
+
+@settings(deadline=None, max_examples=400)
+@given(_grid_drawings())
+def test_segment_sweep_matches_pairwise_certifier(drawing):
+    g, pos, polylines = drawing
+    frac = {v: (Fraction(x), Fraction(y)) for v, (x, y) in pos.items()}
+    edges = {eid: DiagramEdge(eid, u, v, tuple((Fraction(x), Fraction(y)) for x, y in polylines[eid]))
+             for eid, u, v in g.edges}
+    try:
+        expected = _PairwiseCertifier(frac, edges).crossings()
+    except GenericityError:
+        expected = None
+    try:
+        d = SpatialDiagram(g, pos, polylines)
+    except GenericityError:
+        assert expected is None
+        return
+    assert d.crossings == expected
+    assert d.neg == sum(1 << c.cid for c in expected if _cross(c.dir_a, c.dir_b) < 0)
 
 
 def _edges_on_top(d):
@@ -219,6 +409,13 @@ def test_json_rejects_a_crossing_stored_twice():
         doc["crossings"][1] = repeat
         with pytest.raises(GraphError, match="stored twice"):
             diagram_from_json(json.dumps(doc))
+
+
+def test_json_rejects_a_zero_denominator():
+    doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(4))))
+    doc["vertices"]["1"][0] = "1/0"
+    with pytest.raises(GraphError, match="not a fraction"):
+        diagram_from_json(json.dumps(doc))
 
 
 # sha256 of diagram_to_json, recorded with the per-crossing over flags the
