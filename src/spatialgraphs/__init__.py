@@ -14,7 +14,6 @@ from .cycles import (
     gamma3_empty,
     has_disjoint_cycles,
     parse_cycle,
-    phi_map,
 )
 from .diagrams import (
     GenericityError,
@@ -33,6 +32,7 @@ from .exchange import (
     Transition,
     closure,
     delta_y,
+    phi_maps,
     replay_provenance,
     triangles,
     write_manifest,

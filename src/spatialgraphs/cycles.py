@@ -1,4 +1,4 @@
-"""Cycle sets of multigraphs and the two cycle transfer maps.
+"""Cycle sets of multigraphs and cycle lifting through minor models.
 
 A cycle is represented by its frozenset of edge ids.  That makes parallel
 copies distinct cycles, lets loops (one edge) and doubled edges (two edges)
@@ -13,9 +13,10 @@ Whether cycles are disjoint depends only on their vertex sets, their
 supports, held as ``vertex_masks`` bit masks.  One search over masks,
 ``_disjoint_indices``, serves both disjoint-cycle questions:
 
-* ``disjoint_cycle_tuples`` searches the distinct supports of all cycles
-  (K7 has 1,172 cycles on 99 supports) and expands each disjoint tuple of
-  supports into the cycle tuples on them;
+* ``disjoint_tuples_among`` searches the distinct supports of the cycles
+  it is given, all of them for ``disjoint_cycle_tuples`` (K7 has 1,172
+  cycles on 99 supports), and expands each disjoint tuple of supports into
+  the cycle tuples on them;
 * ``has_disjoint_cycles`` (and ``gamma3_empty``) searches only the
   inclusion-minimal supports (``minimal_supports``; 35 on K7), found
   without enumerating cycles.  That is exact: every cycle's support
@@ -31,17 +32,12 @@ Beyond these this module implements
   shared by the disjoint-cycle search and Gauss code extraction,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
   the host graph (injective; branch set paths chosen shortest, ties to the
-  smallest vertex id),
-* ``phi_map``: the correspondence between cycles of a graph carrying a
-  triangle and cycles of its triangle-to-star exchange (surjective with
-  fibers of size at most 2), which checks each image tuple against its
-  codomain, enumerated once per call.
+  smallest vertex id).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -247,13 +243,15 @@ def _disjoint_indices(
                 yield (i, *rest)
 
 
-def disjoint_cycle_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
-    """The n-tuples of pairwise vertex-disjoint cycles of g.
+def disjoint_tuples_among(
+    g: MultiGraph, cycles: tuple[Cycle, ...], n: int
+) -> tuple[CycleTuple, ...]:
+    """The n-tuples of pairwise vertex-disjoint cycles among ``cycles``, a
+    tuple of cycles of g.
 
-    Each tuple lists its cycles in all_cycles order, and the tuples are
-    sorted lexicographically by those lists.
+    Each tuple lists its cycles in the order of ``cycles``, and the tuples
+    are sorted lexicographically by their positions there.
     """
-    cycles = all_cycles(g)
     groups: dict[int, list[int]] = {}
     for i, m in enumerate(vertex_masks(g, cycles)):
         groups.setdefault(m, []).append(i)
@@ -264,6 +262,13 @@ def disjoint_cycle_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
         for combo in product(*(members[k] for k in chosen))
     )
     return tuple(tuple(cycles[i] for i in idx) for idx in found)
+
+
+def disjoint_cycle_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
+    """The n-tuples of pairwise vertex-disjoint cycles of g, each listing
+    its cycles in all_cycles order, sorted lexicographically by those
+    lists."""
+    return disjoint_tuples_among(g, all_cycles(g), n)
 
 
 def has_disjoint_cycles(g: MultiGraph, n: int) -> bool:
@@ -410,68 +415,3 @@ def lift_cycles(
         seen[image] = t
         out[t] = image
     return out
-
-
-# -- triangle exchange correspondence ----------------------------------------
-
-
-@dataclass
-class PhiResult:
-    exchanged: MultiGraph          # the triangle-to-star exchange of the input
-    mapping: dict[CycleTuple, frozenset[Cycle]]
-    fibers: dict[frozenset[Cycle], tuple[CycleTuple, ...]]
-    surjective: bool
-    max_fiber: int
-
-
-@lru_cache(maxsize=8)
-def _phi_domain_tuples(g: MultiGraph, n: int) -> tuple[CycleTuple, ...]:
-    # one graph's triangles share a domain; the tuple is immutable
-    return disjoint_cycle_tuples(g, n)
-
-
-def phi_map(g: MultiGraph, triangle: tuple[int, int, int], n: int) -> PhiResult:
-    """Cycle correspondence along one triangle-to-star exchange.
-
-    Domain: n-tuples of disjoint cycles of ``g`` whose edge set does not
-    contain the whole triangle.  Each tuple maps to the unique tuple of the
-    exchanged graph agreeing with it away from the triangle/star edges.
-    Every image must be a tuple of the codomain, the n-tuples of disjoint
-    cycles of the exchanged graph; a miss raises ``GraphError``.
-    """
-    from .exchange import delta_y, _triangle_edges  # local import, no cycle at import time
-
-    gy = delta_y(g, triangle)
-    tri_set = frozenset(_triangle_edges(g, triangle))
-    x = max(gy.vertices)  # the fresh star center gets the next label
-    star_eid = {w: eid for eid, w in gy.incident(x)}
-    codomain = set(map(frozenset, disjoint_cycle_tuples(gy, n)))
-
-    mapping: dict[CycleTuple, frozenset[Cycle]] = {}
-    for t in _phi_domain_tuples(g, n):
-        if tri_set <= frozenset().union(*t):
-            continue
-        image = []
-        for comp in t:
-            hit = comp & tri_set
-            if hit:
-                # one or two triangle edges become the star path between the
-                # corners where the component leaves the triangle; delta_y
-                # keeps every other edge with its id and endpoints
-                ends: set[int] = set()
-                for eid in hit:
-                    ends ^= set(g.endpoints(eid))
-                comp = (comp - hit) | {star_eid[c] for c in ends}
-            image.append(comp)
-        img = frozenset(image)
-        if img not in codomain:
-            raise GraphError("triangle exchange image is not a tuple of disjoint cycles")
-        mapping[t] = img
-
-    fibers: dict[frozenset[Cycle], list[CycleTuple]] = {}
-    for t, img in mapping.items():
-        fibers.setdefault(img, []).append(t)
-    fib = {k: tuple(v) for k, v in fibers.items()}
-    surjective = len(fib) == len(codomain)
-    max_fiber = max((len(v) for v in fib.values()), default=0)
-    return PhiResult(gy, mapping, fib, surjective, max_fiber)

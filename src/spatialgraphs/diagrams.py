@@ -153,6 +153,8 @@ class SpatialDiagram:
             if pl[0] != self.positions[u] or pl[-1] != self.positions[v]:
                 raise GraphError(f"polyline of edge {eid} does not join its endpoints")
             edges[eid] = DiagramEdge(eid, u, v, pl)
+        if polylines.keys() - edges:
+            raise GraphError("a polyline is keyed by an edge id the graph lacks")
         self.edges = edges
         self.crossings = self._compute_crossings()
         self._per_edge = self._index_per_edge()
@@ -436,26 +438,29 @@ def diagram_to_json(d: SpatialDiagram) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _point(p) -> Point:
+    x, y = p
+    return (_frac(x), _frac(y))
+
+
 def diagram_from_json(text: str) -> SpatialDiagram:
-    doc = json.loads(text)
-    positions = {
-        int(v): (_frac(p[0]), _frac(p[1])) for v, p in doc["vertices"].items()
-    }
-    polylines = {}
-    pairs = []
-    for eid_s, rec in doc["edges"].items():
-        eid = int(eid_s)
-        pairs.append((eid, rec["u"], rec["v"]))
-        polylines[eid] = tuple((_frac(x), _frac(y)) for x, y in rec["polyline"])
-    g = MultiGraph(positions.keys(), pairs)
+    # a missing key, a wrong JSON type, a non-integer id or a bad point: GraphError
+    try:
+        doc = json.loads(text)
+        positions = {int(v): _point(p) for v, p in doc["vertices"].items()}
+        edges = {int(e): rec for e, rec in doc["edges"].items()}
+        g = MultiGraph(positions, [(e, rec["u"], rec["v"]) for e, rec in edges.items()])
+        polylines = {e: tuple(map(_point, rec["polyline"])) for e, rec in edges.items()}
+        stored = [((r["over_edge"], _frac(r["over_param"])), (r["under_edge"], _frac(r["under_param"])))
+                  for r in doc["crossings"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise GraphError(f"malformed diagram document: {err}") from err
     d = SpatialDiagram(g, positions, polylines)
     # replay the stored over/under onto the recomputed crossings
     by_key = {(c.edge_a, c.param_a, c.edge_b, c.param_b): c.cid for c in d.crossings}
     mask = 0
     matched: set[int] = set()
-    for rec in doc["crossings"]:
-        over = (rec["over_edge"], _frac(rec["over_param"]))
-        under = (rec["under_edge"], _frac(rec["under_param"]))
+    for over, under in stored:
         if over + under in by_key:
             cid = by_key[over + under]
         elif under + over in by_key:

@@ -8,6 +8,11 @@ that sets each member's two flags: whether the member is reachable from the
 seed by triangle-to-star moves alone, read off that path, and whether it
 has no three pairwise disjoint cycles.
 
+``phi_maps`` gives the cycle correspondence each triangle-to-star exchange
+induces, on single cycles and on disjoint pairs.  A cycle that misses the
+triangle maps to itself; one that uses one or two triangle edges trades
+them for the star path between the corners where it leaves the triangle.
+
 Star-to-triangle needs a convention when two neighbors of the degree-3
 vertex are already adjacent (the new triangle edge would collapse with the
 old one).  ``closure`` fixes it: it skips such exchanges and performs only
@@ -22,10 +27,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .canon import Certificate, canonical_form, degree_sequence
-from .cycles import gamma3_empty
+from .cycles import Cycle, CycleTuple, all_cycles, disjoint_tuples_among, gamma3_empty
 from .multigraph import (
     GraphError,
     MultiGraph,
@@ -276,3 +281,56 @@ def write_manifest(result: ClosureResult, out_dir) -> Path:
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
+
+
+# -- cycle correspondence ------------------------------------------------------
+
+
+@dataclass
+class PhiResult:
+    exchanged: MultiGraph          # the triangle-to-star exchange of the input
+    mapping: dict[CycleTuple, frozenset[Cycle]]
+    fibers: dict[frozenset[Cycle], tuple[CycleTuple, ...]]
+    surjective: bool
+    max_fiber: int
+
+
+def phi_maps(g: MultiGraph) -> Iterator[tuple[tuple[tuple[int, int, int], int], PhiResult]]:
+    """Cycle correspondence along every triangle-to-star exchange of g, for
+    n = 1 and 2: ((triangle, n), result) pairs in ``triangles`` order.
+
+    Domain: the n-tuples of disjoint cycles of g less those with the
+    triangle as a component, which are the tuples holding all three
+    triangle edges, as any two of them share a corner.  A tuple maps to
+    the set of its cycles' images.  Every image must be a tuple of the
+    codomain, the n-tuples of disjoint cycles of the exchanged graph; a
+    miss raises ``GraphError``.  Each graph's cycles are enumerated once,
+    and the results are yielded one triangle at a time, so a caller that
+    drops them holds one triangle's maps (each of K7's 35 covers 1,172
+    cycles at n = 1); ``dict(phi_maps(g))`` holds them all.
+    """
+    cycles = all_cycles(g)
+    domains = {n: disjoint_tuples_among(g, cycles, n) for n in (1, 2)}
+    for tri in triangles(g):
+        gy = delta_y(g, tri)
+        tri_set = frozenset(_triangle_edges(g, tri))
+        star = {w: eid for eid, w in gy.incident(max(gy.vertices))}  # the fresh center
+        phi = {}
+        for c in cycles:
+            # delta_y keeps every other edge with its id and endpoints
+            ends: set[int] = set()
+            for eid in c & tri_set:
+                ends ^= set(g.endpoints(eid))
+            phi[c] = (c - tri_set) | {star[v] for v in ends} if ends else c
+        gy_cycles = all_cycles(gy)
+        for n in (1, 2):
+            codomain = set(map(frozenset, disjoint_tuples_among(gy, gy_cycles, n)))
+            mapping = {t: frozenset(map(phi.get, t)) for t in domains[n] if tri_set not in t}
+            if not codomain.issuperset(mapping.values()):
+                raise GraphError("triangle exchange image is not a tuple of disjoint cycles")
+            fibers: dict[frozenset[Cycle], list[CycleTuple]] = {}
+            for t, img in mapping.items():
+                fibers.setdefault(img, []).append(t)
+            fib = {k: tuple(v) for k, v in fibers.items()}
+            max_fiber = max(map(len, fib.values()), default=0)
+            yield (tri, n), PhiResult(gy, mapping, fib, len(fib) == len(codomain), max_fiber)

@@ -20,15 +20,15 @@ from spatialgraphs.cycles import (
     cycle_order,
     cycle_walk,
     disjoint_cycle_tuples,
+    disjoint_tuples_among,
     format_cycle,
     gamma3_empty,
     has_disjoint_cycles,
     minimal_supports,
     parse_cycle,
-    phi_map,
     vertex_masks,
 )
-from spatialgraphs.exchange import _triangle_edges, delta_y, triangles
+from spatialgraphs.exchange import _triangle_edges, delta_y, phi_maps, triangles
 from spatialgraphs.multigraph import (
     GraphError,
     MultiGraph,
@@ -116,27 +116,26 @@ def test_parse_cycle_rejects_non_cycles(n9):
 def test_phi_map_rejects_images_outside_its_codomain(monkeypatch):
     # drop one tuple from the codomain (the exchanged K6 has 7 vertices):
     # every codomain tuple is an image, so the membership check must raise
-    def short_codomain(g, n):
-        found = disjoint_cycle_tuples(g, n)
+    def short_codomain(g, cycles, n):
+        found = disjoint_tuples_among(g, cycles, n)
         return found[1:] if g.vertex_count == 7 else found
 
-    monkeypatch.setattr("spatialgraphs.cycles.disjoint_cycle_tuples", short_codomain)
+    monkeypatch.setattr("spatialgraphs.exchange.disjoint_tuples_among", short_codomain)
     with pytest.raises(GraphError):
-        phi_map(complete_graph(6), (1, 2, 3), 2)
+        dict(phi_maps(complete_graph(6)))
 
 
 def test_phi_map_small_example():
-    k4 = complete_graph(4)
-    res = phi_map(k4, (1, 2, 3), 1)
+    res = dict(phi_maps(complete_graph(4)))[(1, 2, 3), 1]
     assert res.surjective
     assert res.max_fiber == 2
     assert len(res.fibers) == 3
 
 
 def test_phi_map_on_k7_triangles_bounded_fibers():
-    k7 = complete_graph(7)
+    maps = dict(phi_maps(complete_graph(7)))
     for n in (1, 2):
-        res = phi_map(k7, (1, 2, 3), n)
+        res = maps[(1, 2, 3), n]
         assert res.surjective
         assert res.max_fiber <= 2
 
@@ -145,7 +144,7 @@ def test_phi_map_counts_match_exchange():
     # pairs of the source that avoid the full triangle map onto pairs of the
     # exchanged graph; the one triangle-containing pair of K6 is dropped
     k6 = complete_graph(6)
-    res = phi_map(k6, (1, 2, 3), 2)
+    res = dict(phi_maps(k6))[(1, 2, 3), 2]
     assert len(res.mapping) == len(disjoint_cycle_tuples(k6, 2)) - 1
     assert res.surjective
     assert len(res.fibers) == len(disjoint_cycle_tuples(res.exchanged, 2)) == 9
@@ -305,7 +304,7 @@ def test_cycle_walk_succeeds_exactly_on_cycles(g, data):
 
 def _old_phi_map(g, triangle, n):
     """(mapping, fibers, surjective, max_fiber) with each image component
-    checked by ``_is_cycle``, as phi_map did before its codomain check."""
+    checked by ``_is_cycle``, as the cycle map did before its codomain check."""
     gy = delta_y(g, triangle)
     tri_set = frozenset(_triangle_edges(g, triangle))
     x = max(gy.vertices)
@@ -352,10 +351,10 @@ def multigraphs_with_a_triangle(draw):
 @settings(max_examples=150, deadline=None)
 @given(multigraphs_with_a_triangle())
 def test_phi_map_matches_old_phi_map(g):
-    for t in triangles(g):
-        for n in (1, 2):
-            res = phi_map(g, t, n)
-            assert (res.mapping, res.fibers, res.surjective, res.max_fiber) == _old_phi_map(g, t, n)
+    maps = dict(phi_maps(g))
+    assert list(maps) == [(t, n) for t in triangles(g) for n in (1, 2)]
+    for (t, n), res in maps.items():
+        assert (res.mapping, res.fibers, res.surjective, res.max_fiber) == _old_phi_map(g, t, n)
 
 
 @settings(max_examples=200, deadline=None)

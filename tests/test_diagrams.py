@@ -124,6 +124,14 @@ def test_polyline_without_segment_rejected(polylines):
         SpatialDiagram(g, {1: (0, 0), 2: (1, 0)}, polylines)
 
 
+def test_polyline_of_an_unknown_edge_rejected():
+    # no polyline may be dropped silently: edge 5 is not an edge of the graph
+    g = from_pairs([(1, 2)])
+    polylines = {0: ((0, 0), (1, 0)), 5: ((9, 9), (3, 3), (0, 0))}
+    with pytest.raises(GraphError, match="lacks"):
+        SpatialDiagram(g, {1: (0, 0), 2: (1, 0)}, polylines)
+
+
 # (pairs, positions, polylines by edge id, the reason a drawing is rejected)
 _REJECTED = {
     "zero-length segment": (
@@ -415,6 +423,42 @@ def test_json_rejects_a_zero_denominator():
     doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(4))))
     doc["vertices"]["1"][0] = "1/0"
     with pytest.raises(GraphError, match="not a fraction"):
+        diagram_from_json(json.dumps(doc))
+
+
+def _coordinate_as_number(doc):
+    doc["vertices"]["1"][0] = 0
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _edge_id_not_an_integer(doc):
+    doc["edges"]["x"] = doc["edges"].pop("0")
+
+
+def _endpoint_not_an_integer(doc):
+    doc["edges"]["0"]["u"] = "one"
+
+
+def _one_element_point(doc):
+    doc["edges"]["0"]["polyline"][1] = ["1/2"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_coordinate_as_number, _drop("crossings"), _drop("edges"), _drop("vertices"),
+     list, _edge_id_not_an_integer, _endpoint_not_an_integer, _one_element_point],
+    ids=["coordinate number", "no crossings", "no edges", "no vertices", "top-level list",
+         "edge id", "endpoint", "one-element point"],
+)
+def test_json_rejects_malformed_documents(edit):
+    doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(6), seed=0)))
+    doc = edit(doc) or doc  # an edit returns a new document or changes this one
+    with pytest.raises(GraphError):
         diagram_from_json(json.dumps(doc))
 
 

@@ -44,7 +44,7 @@ def test_delta_y_k6_is_the_flagged_member():
 
 @pytest.mark.parametrize("name", ["K6", "K7", "N9"])
 def test_delta_y_keeps_every_edge_off_the_triangle(name):
-    # phi_map passes components that miss the triangle through unchecked
+    # phi_maps maps a cycle that misses the triangle to itself, unchecked
     g = fixture(name)
     for t in triangles(g):
         tri = set(_triangle_edges(g, t))
