@@ -551,6 +551,11 @@ CLAIMS: dict[str, Callable] = {
     "d4-lemma": claim_d4_lemma,
     "n9fn-dichotomy": claim_n9fn_dichotomy,
 }
+# the claims that sample and so take a trial count; the rest run none
+TRIAL_CLAIMS = frozenset({
+    "invariant-oracle", "conway-gordon", "conway-gordon-k6", "conway-gordon-k7",
+    "petersen-lk", "d4-lemma", "n9fn-dichotomy",
+})
 
 
 def run_claim(claim_id: str, trials: Optional[int] = None, seed: int = 0, jobs: int = 1):
@@ -558,5 +563,7 @@ def run_claim(claim_id: str, trials: Optional[int] = None, seed: int = 0, jobs: 
         fn = CLAIMS[claim_id]
     except KeyError:
         raise GraphError(f"unknown claim {claim_id!r}") from None
+    if trials is not None and claim_id not in TRIAL_CLAIMS:
+        raise GraphError(f"claim {claim_id!r} runs no trials; it takes no --trials")
     _require_counts(trials, jobs)
     return fn(trials, seed, jobs)

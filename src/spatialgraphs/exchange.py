@@ -31,13 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 from .canon import Certificate, canonical_form, degree_sequence
 from .cycles import Cycle, CycleTuple, all_cycles, disjoint_tuples_among, gamma3_empty
-from .multigraph import (
-    GraphError,
-    MultiGraph,
-    delete_edge,
-    format_edge_list,
-    simplify,
-)
+from .multigraph import GraphError, MultiGraph, format_edge_list, simplify
 
 
 class ExchangeSiteError(GraphError):
@@ -46,20 +40,13 @@ class ExchangeSiteError(GraphError):
 
 def triangles(g: MultiGraph) -> tuple[tuple[int, int, int], ...]:
     """All triangles (u < v < w pairwise adjacent); ignores parallels/loops."""
-    out = []
-    vs = g.vertices
-    for i, u in enumerate(vs):
-        nu = set(g.neighbors(u))
-        for j in range(i + 1, len(vs)):
-            v = vs[j]
-            if v not in nu:
-                continue
-            nv = set(g.neighbors(v))
-            for k in range(j + 1, len(vs)):
-                w = vs[k]
-                if w in nu and w in nv:
-                    out.append((u, v, w))
-    return tuple(out)
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    return tuple(
+        (u, v, w)
+        for u in g.vertices
+        for v in sorted(n for n in nbrs[u] if n > u)
+        for w in sorted(n for n in nbrs[u] & nbrs[v] if n > v)
+    )
 
 
 def _triangle_edges(g: MultiGraph, t: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -79,12 +66,10 @@ def delta_y(g: MultiGraph, t: tuple[int, int, int]) -> MultiGraph:
     u, v, w = sorted(t)
     tri = _triangle_edges(g, t)
     x = g.next_vertex_label()
-    base = g
-    for eid in tri:
-        base = delete_edge(base, eid)
     nid = g.next_edge_id()
-    edges = list(base.edges) + [(nid, u, x), (nid + 1, v, x), (nid + 2, w, x)]
-    return MultiGraph(list(base.vertices) + [x], edges)
+    edges = [e for e in g.edges if e[0] not in tri]
+    edges += [(nid, u, x), (nid + 1, v, x), (nid + 2, w, x)]
+    return MultiGraph(g.vertices + (x,), edges)
 
 
 def y_delta(g: MultiGraph, x: int) -> MultiGraph:

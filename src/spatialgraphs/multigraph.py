@@ -47,12 +47,17 @@ class MultiGraph:
                  "_cert_cache", "_labeling_cache")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple]):
-        vs = tuple(sorted({int(v) for v in vertices}))
-        vset = set(vs)
+        # type(x) is int refuses floats, which int() would truncate, and bools
+        labels = list(vertices)
+        if any(type(v) is not int for v in labels):
+            raise GraphError("vertex labels must be integers")
+        vset = set(labels)
+        vs = tuple(sorted(vset))
         triples = []
         seen_ids = set()
         for eid, u, v in edges:
-            eid, u, v = int(eid), int(u), int(v)
+            if not type(eid) is type(u) is type(v) is int:
+                raise GraphError(f"edge {eid!r}: ids and endpoints must be integers")
             if eid in seen_ids:
                 raise GraphError(f"duplicate edge id {eid}")
             seen_ids.add(eid)

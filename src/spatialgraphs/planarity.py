@@ -16,18 +16,7 @@ from typing import Optional
 import networkx as nx
 
 from .minors import one_step_reductions
-from .multigraph import MultiGraph, delete_vertex, simplify
-
-
-def _to_nx(g: MultiGraph) -> "nx.Graph":
-    out = nx.Graph()
-    out.add_nodes_from(g.vertices)
-    out.add_edges_from((u, v) for _, u, v in g.edges)
-    return out
-
-
-def _component_count(g: "nx.Graph") -> int:
-    return nx.number_connected_components(g) if g.number_of_nodes() else 0
+from .multigraph import MultiGraph
 
 
 def _face_count(embedding: "nx.PlanarEmbedding") -> int:
@@ -45,10 +34,16 @@ def _face_count(embedding: "nx.PlanarEmbedding") -> int:
     return faces
 
 
-def is_planar(g: MultiGraph) -> bool:
-    """Planarity of the simplification (loops and parallels never matter)."""
-    s = simplify(g)
-    ng = _to_nx(s)
+def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
+    """Planarity of g less the vertices in removed.
+
+    Loops and parallel edges never matter: loops are skipped and nx.Graph
+    merges each parallel class into one edge.
+    """
+    ng = nx.Graph()
+    ng.add_nodes_from(v for v in g.vertices if v not in removed)
+    ng.add_edges_from((u, v) for _, u, v in g.edges
+                      if u != v and u not in removed and v not in removed)
     ok, embedding = nx.check_planarity(ng)
     if not ok:
         return False
@@ -59,7 +54,7 @@ def is_planar(g: MultiGraph) -> bool:
     isolated = sum(1 for n in ng.nodes if ng.degree(n) == 0)
     v = ng.number_of_nodes() - isolated
     e = ng.number_of_edges()
-    comps = _component_count(ng) - isolated
+    comps = nx.number_connected_components(ng) - isolated
     faces = _face_count(embedding)
     if v - e + faces != 2 * comps:
         raise AssertionError("planar embedding failed the Euler check")
@@ -68,17 +63,14 @@ def is_planar(g: MultiGraph) -> bool:
 
 def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
     """A vertex set of size <= k whose removal leaves a planar graph."""
-    s = simplify(g)
-    if is_planar(s):
+    if is_planar(g):
         return frozenset()
-    # high degree vertices are the likeliest apexes; try those first
-    order = sorted(s.vertices, key=lambda v: (-s.degree(v), v))
+    # high degree vertices are the likeliest apexes; try those first, by
+    # their count of distinct neighbours (loops and parallels never matter)
+    order = sorted(g.vertices, key=lambda v: (-len(g.neighbors(v)), v))
     for size in range(1, k + 1):
         for combo in combinations(order, size):
-            h = s
-            for v in combo:
-                h = delete_vertex(h, v)
-            if is_planar(h):
+            if is_planar(g, frozenset(combo)):
                 return frozenset(combo)
     return None
 

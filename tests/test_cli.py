@@ -291,6 +291,14 @@ def test_spatial_takes_any_vertex_labels(capsys, tmp_path, labels):
     assert report["evidence"]["verdict"]["trials"] == 3
 
 
+NO_TRIAL_CLAIMS = ("petersen-family", "heawood-family", "k3311-counts", "theorem1-equivalence",
+                   "prop24-phi", "minor-scripts", "apex-proper-minors", "c14-identification")
+
+
+def test_trial_claims_are_the_sampling_claims():
+    assert claims.TRIAL_CLAIMS == set(claims.CLAIMS) - set(NO_TRIAL_CLAIMS)
+
+
 @pytest.mark.parametrize("argv", [
     ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "-3"],
     ["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "0"],
@@ -306,6 +314,8 @@ def test_spatial_takes_any_vertex_labels(capsys, tmp_path, labels):
     ["verify", "invariant-oracle", "--trials", "0"],
     ["verify", "petersen-family", "--trials", "0"],
     ["verify", "conway-gordon-k6", "--trials", "2", "--jobs", "-1"],
+    # a claim that runs no trials takes no --trials, though it takes --jobs
+    *(["verify", claim, "--trials", "5", "--jobs", "1"] for claim in NO_TRIAL_CLAIMS),
     # Gauss-code fixtures are not graphs
     ["spatial", "--graph", "Hopf", "--check", "cg-k6"],
     ["families", "--seed", "Trefoil"],

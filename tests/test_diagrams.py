@@ -444,6 +444,14 @@ def _endpoint_not_an_integer(doc):
     doc["edges"]["0"]["u"] = "one"
 
 
+def _endpoint_fractional(doc):
+    doc["edges"]["0"]["u"] = 1.9
+
+
+def _endpoint_boolean(doc):
+    doc["edges"]["0"]["u"] = True
+
+
 def _one_element_point(doc):
     doc["edges"]["0"]["polyline"][1] = ["1/2"]
 
@@ -451,9 +459,10 @@ def _one_element_point(doc):
 @pytest.mark.parametrize(
     "edit",
     [_coordinate_as_number, _drop("crossings"), _drop("edges"), _drop("vertices"),
-     list, _edge_id_not_an_integer, _endpoint_not_an_integer, _one_element_point],
+     list, _edge_id_not_an_integer, _endpoint_not_an_integer, _one_element_point,
+     _endpoint_fractional, _endpoint_boolean],
     ids=["coordinate number", "no crossings", "no edges", "no vertices", "top-level list",
-         "edge id", "endpoint", "one-element point"],
+         "edge id", "endpoint", "one-element point", "fractional endpoint", "boolean endpoint"],
 )
 def test_json_rejects_malformed_documents(edit):
     doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(6), seed=0)))

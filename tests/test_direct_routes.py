@@ -1,0 +1,117 @@
+"""Planarity of G − S and the triangle exchange, built straight from G's
+edge list, against the routes they replaced.
+
+The oracles below are copies of those routes: planarity asked of
+simplify(G) with the vertices of S deleted one by one, apex candidates
+ordered by their degree in simplify(G), triangles by an index triple loop,
+and the triangle-to-star built from three edge deletions.
+"""
+
+from itertools import combinations
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spatialgraphs.exchange import _triangle_edges, delta_y, triangles
+from spatialgraphs.multigraph import MultiGraph, delete_edge, delete_vertex, from_pairs, simplify
+from spatialgraphs.planarity import apex_witness, is_planar
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+K6_LESS_ONE = [(a, b) for a in range(6) for b in range(a + 1, 6)][1:]
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 8 vertices with loops, parallel edges and isolated vertices.
+
+    Most draws grow from a non-planar core (K5, K3,3 or K6 less an edge), so
+    that the apex search has candidates to order; the labels are shuffled
+    so that label order and degree order disagree.
+    """
+    n = draw(st.integers(0, 8))
+    core = draw(st.sampled_from([[], K5, K33, K6_LESS_ONE])) if n >= 6 else []
+    ends = st.integers(0, n - 1) if n else st.nothing()
+    extra = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    labels = draw(st.permutations(range(10, 10 + n)))
+    pairs = [(labels[u], labels[v]) for u, v in core + extra]
+    return from_pairs(pairs, vertices=labels)
+
+
+def _old_is_planar(g: MultiGraph, removed=frozenset()) -> bool:
+    h = simplify(g)
+    for v in sorted(removed):
+        h = delete_vertex(h, v)
+    ng = nx.Graph()
+    ng.add_nodes_from(h.vertices)
+    ng.add_edges_from((u, v) for _, u, v in h.edges)
+    return nx.check_planarity(ng)[0]
+
+
+def _old_apex_witness(g: MultiGraph, k: int):
+    s = simplify(g)
+    if _old_is_planar(s):
+        return frozenset()
+    order = sorted(s.vertices, key=lambda v: (-s.degree(v), v))
+    for size in range(1, k + 1):
+        for combo in combinations(order, size):
+            if _old_is_planar(s, frozenset(combo)):
+                return frozenset(combo)
+    return None
+
+
+def _old_triangles(g: MultiGraph):
+    out = []
+    vs = g.vertices
+    for i, u in enumerate(vs):
+        nu = set(g.neighbors(u))
+        for j in range(i + 1, len(vs)):
+            v = vs[j]
+            if v not in nu:
+                continue
+            nv = set(g.neighbors(v))
+            for k in range(j + 1, len(vs)):
+                w = vs[k]
+                if w in nu and w in nv:
+                    out.append((u, v, w))
+    return tuple(out)
+
+
+def _old_delta_y(g: MultiGraph, t) -> MultiGraph:
+    u, v, w = sorted(t)
+    tri = _triangle_edges(g, t)
+    x = g.next_vertex_label()
+    base = g
+    for eid in tri:
+        base = delete_edge(base, eid)
+    nid = g.next_edge_id()
+    edges = list(base.edges) + [(nid, u, x), (nid + 1, v, x), (nid + 2, w, x)]
+    return MultiGraph(list(base.vertices) + [x], edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_is_planar_less_a_vertex_set_matches_simplify_then_delete(g, data):
+    removed = frozenset(data.draw(st.sets(st.sampled_from(g.vertices)))) if g.vertices else frozenset()
+    assert is_planar(g, removed) == _old_is_planar(g, removed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_apex_witness_matches_simplified_degree_order(g):
+    for k in range(3):
+        assert apex_witness(g, k) == _old_apex_witness(g, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_triangles_match_index_loop_in_order(g):
+    assert triangles(g) == _old_triangles(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs())
+def test_delta_y_matches_edge_deletions(g):
+    for t in triangles(g):
+        assert delta_y(g, t) == _old_delta_y(g, t)

@@ -43,6 +43,21 @@ def test_from_pairs_ids_in_input_order():
     assert g.endpoints(2) == (2, 3)
 
 
+@pytest.mark.parametrize("vertices,edges", [
+    ([1, 2], [(0.7, 1.5, 2)]),
+    ([1, 2.9], [(0, 1, 2)]),
+    ([1, 2], [(True, 1, 2)]),
+    ([0, 1], [(0, 0, True)]),
+    ([1, True], []),
+    (["1", 2], []),
+], ids=["float edge", "float vertex", "bool edge id", "bool endpoint", "bool vertex",
+        "str vertex"])
+def test_labels_and_ids_must_be_integers(vertices, edges):
+    # int() would truncate 0.7 and 1.5 and read True as 1
+    with pytest.raises(GraphError):
+        MultiGraph(vertices, edges)
+
+
 def test_parallel_classes_and_loops():
     g = from_pairs([(1, 2), (1, 2), (2, 3), (3, 3)])
     classes = g.parallel_classes()
