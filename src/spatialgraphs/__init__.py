@@ -4,7 +4,15 @@ of graphs."""
 
 __version__ = "0.1.0"
 
-from .canon import Certificate, canonical_form, canonical_labeling, is_isomorphic
+from .canon import (
+    Certificate,
+    automorphisms,
+    canonical_form,
+    canonical_labeling,
+    edge_orbits,
+    is_isomorphic,
+    vertex_orbits,
+)
 from .cycles import (
     MinorModel,
     all_cycles,

@@ -21,8 +21,22 @@ K7 takes 22 leaves instead of 5,040.  Leaves compare as ASCII bytes, as
 before: reading them as integers would order "1,10" after "1,2" and pick a
 different leaf on graphs with ten or more vertices.
 
-Certificate and labeling are cached together on the graph, so
-``is_isomorphic`` searches each graph once.
+The automorphisms the search records generate the whole automorphism group.
+The group maps the leaves with the smallest encoding onto each other, and
+only the identity fixes a leaf.  Each such leaf is either reached, and then
+compared with the first of them, or skipped as the image of an earlier one
+under a product of recorded automorphisms.  So products of recorded ones
+take the first such leaf to every other, which takes in every automorphism.
+``automorphisms`` hands the recorded ones out, and ``vertex_orbits`` and
+``edge_orbits`` read the group's orbits off them without ever listing the
+group.  Edge orbits are orbits of endpoint pairs,
+so parallel edges share one.  Reductions and apex searches use them to
+check one member of each orbit (``minors.one_step_reductions``,
+``planarity.apex_witness``).
+
+Certificate, labeling and automorphism generators are cached together on
+the graph as immutable values, so ``is_isomorphic`` searches each graph
+once and the orbits cost no second search.
 """
 
 from __future__ import annotations
@@ -126,40 +140,52 @@ def _search(g: MultiGraph, colors: dict[int, int], prefix: tuple[int, ...],
 def _in_explored_orbit(v: int, explored: list[int], target: list[int],
                        prefix: tuple[int, ...], autos: list) -> bool:
     """Whether v shares an orbit with an explored sibling under the
-    automorphisms found so far that fix the individualized prefix."""
-    root = {x: x for x in target}
+    automorphisms found so far that fix the individualized prefix (such an
+    automorphism keeps the cell)."""
+    fixing = [gamma for gamma in autos if all(gamma[p] == p for p in prefix)]
+    root = _orbit_roots(target, fixing)
+    return any(root[w] == root[v] for w in explored)
 
-    def find(x: int) -> int:
+
+def _orbit_roots(items, maps) -> dict:
+    """Item -> one representative of its orbit under the maps, each a dict
+    taking every item to an item."""
+    root = {x: x for x in items}
+
+    def find(x):
         while root[x] != x:
             root[x] = root[root[x]]
             x = root[x]
         return x
 
-    for gamma in autos:
-        if all(gamma[p] == p for p in prefix):
-            for x in target:  # a prefix-fixing automorphism keeps the cell
-                a, b = find(x), find(gamma[x])
-                if a != b:
-                    root[a] = b
-    mine = find(v)
-    return any(find(w) == mine for w in explored)
+    for gamma in maps:
+        for x in items:
+            a, b = find(x), find(gamma[x])
+            if a != b:
+                root[a] = b
+    return {x: find(x) for x in items}
 
 
 def _canonical(g: MultiGraph) -> tuple[bytes, dict[int, int]]:
+    """Search g once: cache its certificate, labeling and automorphism
+    generators, and return the certificate bytes and the position map."""
+    autos: list = []
     if g.vertex_count == 0:
-        return b"0|0|", {}
-    init = {v: 0 for v in g.vertices}
-    best: list = [None, None]
-    _search(g, init, (), best, [])
-    return best[0], best[1]
+        blob, position = b"0|0|", {}
+    else:
+        best: list = [None, None]
+        _search(g, {v: 0 for v in g.vertices}, (), best, autos)
+        blob, position = best
+    g._labeling_cache = tuple(position[v] for v in g.vertices)
+    g._automorphism_cache = tuple(tuple(gamma[v] for v in g.vertices) for gamma in autos)
+    g._cert_cache = Certificate(blob)
+    return blob, position
 
 
 def _cached(g: MultiGraph) -> Certificate:
-    """Run the search once per graph; keep certificate and labeling."""
+    """Run the search once per graph."""
     if g._cert_cache is None:
-        blob, position = _canonical(g)
-        g._cert_cache = Certificate(blob)
-        g._labeling_cache = tuple(position[v] for v in g.vertices)
+        _canonical(g)
     return g._cert_cache
 
 
@@ -171,6 +197,38 @@ def canonical_labeling(g: MultiGraph) -> dict[int, int]:
     """Vertex -> position in the canonical ordering (one witness of it)."""
     _cached(g)
     return dict(zip(g.vertices, g._labeling_cache))
+
+
+def automorphisms(g: MultiGraph) -> list[dict[int, int]]:
+    """Generators of g's automorphism group, as fresh vertex maps; none for
+    a graph whose only automorphism is the identity."""
+    _cached(g)
+    return [dict(zip(g.vertices, images)) for images in g._automorphism_cache]
+
+
+def _orbits(items, maps, members) -> tuple[tuple[int, ...], ...]:
+    """The members of the items of each orbit, sorted, ordered by their
+    smallest member."""
+    by: dict = {}
+    for x, r in _orbit_roots(items, maps).items():
+        by.setdefault(r, []).extend(members(x))
+    return tuple(sorted(tuple(sorted(c)) for c in by.values()))
+
+
+def vertex_orbits(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
+    """g's vertex orbits under its automorphisms, each sorted, ordered by
+    their smallest vertex."""
+    return _orbits(g.vertices, automorphisms(g), lambda v: (v,))
+
+
+def edge_orbits(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
+    """g's edge ids grouped by the orbit of their endpoint pair under its
+    automorphisms (parallel edges share an orbit), each sorted, ordered by
+    their smallest id."""
+    pairs = g.parallel_classes()
+    maps = [{(u, v): tuple(sorted((gamma[u], gamma[v]))) for u, v in pairs}
+            for gamma in automorphisms(g)]
+    return _orbits(pairs, maps, pairs.__getitem__)
 
 
 def is_isomorphic(g: MultiGraph, h: MultiGraph) -> Optional[dict[int, int]]:

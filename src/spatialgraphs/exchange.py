@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 from .canon import Certificate, canonical_form, degree_sequence
 from .cycles import Cycle, CycleTuple, all_cycles, disjoint_tuples_among, gamma3_empty
-from .multigraph import GraphError, MultiGraph, format_edge_list, simplify
+from .multigraph import GraphError, MultiGraph, _simple_graph, format_edge_list
 
 
 class ExchangeSiteError(GraphError):
@@ -90,7 +90,7 @@ def y_delta(g: MultiGraph, x: int) -> MultiGraph:
     kept = [(e, p, q) for e, p, q in g.edges if p != x and q != x]
     nid = g.next_edge_id()
     kept += [(nid, a, b), (nid + 1, a, c), (nid + 2, b, c)]
-    return simplify(MultiGraph((v for v in g.vertices if v != x), kept))
+    return _simple_graph((v for v in g.vertices if v != x), kept)
 
 
 def y_delta_preserves_edges(g: MultiGraph, x: int) -> bool:

@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .canon import canonical_form, degree_sequence, is_isomorphic
+from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
 from .cycles import MinorModel
 from .multigraph import (
     GraphError,
     MultiGraph,
     ReductionScript,
+    _contraction,
+    _simple_graph,
     apply_script,
     contract_edge,
     delete_edge,
@@ -72,6 +74,10 @@ class _State:
 _MAX_STATES = 2_000_000  # reduction states has_minor may expand
 
 
+class _OverBudget(Exception):
+    """The search would expand more than _MAX_STATES states."""
+
+
 def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     """A MinorModel of h inside g, or None. Absence means the memoized
     search exhausted every reduction order."""
@@ -85,7 +91,15 @@ def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     seen: set[bytes] = set()
     budget = [_MAX_STATES]
 
-    found = _search(init, h, par_cap, loop_cap, seen, budget)
+    try:
+        found = _search(init, h, par_cap, loop_cap, seen, budget)
+    except _OverBudget:
+        raise GraphError(
+            f"minor search exceeded its state budget: {_MAX_STATES - budget[0]:,} "
+            f"of {_MAX_STATES:,} states expanded, host {g.vertex_count} vertices "
+            f"and {g.edge_count} edges, pattern {h.vertex_count} vertices and "
+            f"{h.edge_count} edges"
+        ) from None
     if found is None:
         return None
     model = _build_model(g, h, found)
@@ -118,7 +132,7 @@ def _search(
         return None
     seen.add(cert)
     if budget[0] <= 0:
-        raise GraphError("minor search exceeded its state budget")
+        raise _OverBudget
     budget[0] -= 1
 
     children: list[_State] = []
@@ -177,7 +191,13 @@ def _build_model(g: MultiGraph, h: MultiGraph, found) -> MinorModel:
 
 def one_step_reductions(g: MultiGraph) -> list[tuple[str, MultiGraph]]:
     """All single-edge deletions, single-edge contractions (simplified) and
-    single-vertex deletions, deduplicated by certificate."""
+    single-vertex deletions, deduplicated by certificate.
+
+    Only the first edge or vertex of each automorphism orbit is reduced: the
+    others give graphs isomorphic to its own, which come later and which
+    the deduplication would drop.  So the labels are those of reducing
+    every edge and vertex.
+    """
     out: list[tuple[str, MultiGraph]] = []
     seen: set[bytes] = set()
 
@@ -187,13 +207,15 @@ def one_step_reductions(g: MultiGraph) -> list[tuple[str, MultiGraph]]:
             seen.add(cert)
             out.append((label, graph))
 
-    for eid, u, v in g.edges:
+    firsts = {ids[0] for ids in edge_orbits(g)}
+    edges = [e for e in g.edges if e[0] in firsts]
+    for eid, u, v in edges:
         push(f"delete edge {u}-{v} (id {eid})", delete_edge(g, eid))
-    for eid, u, v in g.edges:
+    for eid, u, v in edges:
         if u != v:
-            push(f"contract edge {u}-{v} (id {eid})", simplify(contract_edge(g, eid)))
-    for v in g.vertices:
-        push(f"delete vertex {v}", delete_vertex(g, v))
+            push(f"contract edge {u}-{v} (id {eid})", _simple_graph(*_contraction(g, eid)))
+    for orbit in vertex_orbits(g):
+        push(f"delete vertex {orbit[0]}", delete_vertex(g, orbit[0]))
     return out
 
 

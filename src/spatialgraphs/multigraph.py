@@ -44,7 +44,7 @@ class MultiGraph:
     """
 
     __slots__ = ("_vertices", "_edges", "_incidence", "_ends", "_between",
-                 "_cert_cache", "_labeling_cache")
+                 "_cert_cache", "_labeling_cache", "_automorphism_cache")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple]):
         # type(x) is int refuses floats, which int() would truncate, and bools
@@ -84,6 +84,7 @@ class MultiGraph:
         self._between = {pair: tuple(ids) for pair, ids in between.items()}
         self._cert_cache = None
         self._labeling_cache = None
+        self._automorphism_cache = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -217,6 +218,11 @@ def contract_edge(g: MultiGraph, eid: int, keep: Optional[int] = None) -> MultiG
     Parallel copies of the contracted edge become loops and are retained.
     No implicit simplification happens here.
     """
+    return MultiGraph(*_contraction(g, eid, keep))
+
+
+def _contraction(g: MultiGraph, eid: int, keep: Optional[int] = None) -> tuple[list[int], list[Edge]]:
+    """The vertices and edges of :func:`contract_edge`'s result."""
     u, v = g.endpoints(eid)
     if u == v:
         raise LoopContractionError(f"edge {eid} is a loop")
@@ -234,7 +240,7 @@ def contract_edge(g: MultiGraph, eid: int, keep: Optional[int] = None) -> MultiG
         if b == drop:
             b = keep
         new_edges.append((e, a, b))
-    return MultiGraph((w for w in g.vertices if w != drop), new_edges)
+    return [w for w in g.vertices if w != drop], new_edges
 
 
 def simplify(g: MultiGraph) -> MultiGraph:
@@ -243,12 +249,21 @@ def simplify(g: MultiGraph) -> MultiGraph:
     The vertex set is unchanged; a simple input comes back with the same
     edge id set.
     """
-    kept = []
-    for (u, v), ids in sorted(g.parallel_classes().items()):
+    return _simple_graph(g.vertices, g.edges)
+
+
+def _simple_graph(vertices: Iterable[int], edges: Iterable[Edge]) -> MultiGraph:
+    """The graph of an edge list less its loops, with the smallest id of
+    each parallel class: one construction where building the graph and then
+    simplifying it would make two."""
+    first: dict[tuple[int, int], Edge] = {}
+    for eid, u, v in edges:
         if u == v:
             continue
-        kept.append((min(ids), u, v))
-    return MultiGraph(g.vertices, kept)
+        key = (u, v) if u < v else (v, u)
+        if key not in first or eid < first[key][0]:
+            first[key] = (eid, u, v)
+    return MultiGraph(vertices, first.values())
 
 
 def without_isolated(g: MultiGraph) -> MultiGraph:

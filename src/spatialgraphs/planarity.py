@@ -15,6 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
+from .canon import automorphisms, edge_orbits
 from .minors import one_step_reductions
 from .multigraph import MultiGraph
 
@@ -62,22 +63,52 @@ def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
 
 
 def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
-    """A vertex set of size <= k whose removal leaves a planar graph."""
+    """A vertex set of size <= k whose removal leaves a planar graph.
+
+    Sets are tried by size, then in the order of their vertices' counts of
+    distinct neighbours.  A set in the orbit of one already found non-planar
+    under g's automorphisms is skipped, as an automorphism carries the one
+    graph onto the other.  The first planar set is never skipped, so the
+    witness is the one trying every set would give.
+    """
     if is_planar(g):
         return frozenset()
     # high degree vertices are the likeliest apexes; try those first, by
     # their count of distinct neighbours (loops and parallels never matter)
     order = sorted(g.vertices, key=lambda v: (-len(g.neighbors(v)), v))
+    failed: set[frozenset[int]] = set()
+    generators = None  # fetched at the first failed set
     for size in range(1, k + 1):
         for combo in combinations(order, size):
-            if is_planar(g, frozenset(combo)):
-                return frozenset(combo)
+            removed = frozenset(combo)
+            if removed in failed:
+                continue
+            if is_planar(g, removed):
+                return removed
+            if generators is None:
+                generators = automorphisms(g)
+            failed |= _orbit(removed, generators)
     return None
+
+
+def _orbit(s: frozenset[int], generators: list[dict[int, int]]) -> set[frozenset[int]]:
+    """The images of a vertex set under the group the generators generate,
+    by breadth-first search over the generators."""
+    orbit = {s}
+    todo = [s]
+    while todo:
+        t = todo.pop()
+        for gamma in generators:
+            image = frozenset(gamma[v] for v in t)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def is_k_apex(g: MultiGraph, k: int) -> bool:
     """Whether deleting some <= k vertices makes g planar.  Exhaustive over
-    vertex subsets; sized for k <= 3."""
+    vertex sets up to automorphism (see ``apex_witness``); sized for k <= 3."""
     return apex_witness(g, k) is not None
 
 
@@ -86,10 +117,21 @@ def all_proper_minors_2apex(g: MultiGraph) -> tuple[bool, list[str]]:
 
     Deleting or contracting further only helps (2-apexness is closed under
     minors), so covering the one-step reductions covers all proper minors.
-    Returns (ok, failing reduction labels).
+    The same closure skips a vertex deletion g - v once the deletion of an
+    edge at v, or of the first edge of that edge's orbit, was found 2-apex:
+    g - v is a minor of g - e.  Returns (ok, failing reduction labels).
     """
+    first = {e: ids[0] for ids in edge_orbits(g) for e in ids}
+    two_apex_edges: set[int] = set()  # first edges of orbits whose deletion is 2-apex
     failures = []
     for label, graph in one_step_reductions(g):
+        if label.startswith("delete vertex"):
+            (v,) = set(g.vertices) - set(graph.vertices)
+            if any(first[e] in two_apex_edges for e, _ in g.incident(v)):
+                continue
         if not is_k_apex(graph, 2):
             failures.append(label)
+        elif graph.vertex_count == g.vertex_count:  # an edge deletion g - e
+            (e,) = set(g.edge_ids()) - set(graph.edge_ids())
+            two_apex_edges.add(e)
     return (not failures, failures)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +11,13 @@ from hypothesis import strategies as st
 
 from spatialgraphs import canon
 from spatialgraphs.canon import (
+    automorphisms,
     canonical_form,
     canonical_labeling,
     degree_sequence,
+    edge_orbits,
     is_isomorphic,
+    vertex_orbits,
 )
 from spatialgraphs.catalog import (
     fixture,
@@ -218,6 +223,95 @@ def test_labeling_is_a_fresh_dict():
     first = canonical_labeling(g)
     first[1] = 99
     assert canonical_labeling(g)[1] != 99
+
+
+# -- automorphism groups ------------------------------------------------------
+
+
+def _pair_counts(g, gamma=None):
+    """The multiset of endpoint pairs, mapped through gamma if given."""
+    gamma = gamma or {v: v for v in g.vertices}
+    return Counter(tuple(sorted((gamma[u], gamma[v]))) for _, u, v in g.edges)
+
+
+def _group(g):
+    """Every element of the group the recorded generators generate, as
+    tuples of images of g.vertices (closure under the generators)."""
+    gens = [tuple(gamma[v] for v in g.vertices) for gamma in automorphisms(g)]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    identity = tuple(g.vertices)
+    group, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for q in gens:
+            pq = tuple(q[index[x]] for x in p)
+            if pq not in group:
+                group.add(pq)
+                todo.append(pq)
+    return group
+
+
+def _brute_automorphisms(g):
+    pairs = _pair_counts(g)
+    return [
+        dict(zip(g.vertices, images))
+        for images in permutations(g.vertices)
+        if _pair_counts(g, dict(zip(g.vertices, images))) == pairs
+    ]
+
+
+def _classes(items, key_images):
+    """Orbits of items, given each item's set of images."""
+    out = {tuple(sorted(key_images[x])) for x in items}
+    return tuple(sorted(out))
+
+
+small_multigraphs = st.one_of(
+    random_multigraphs(max_vertices=6),
+    symmetric_multigraphs().filter(lambda g: g.vertex_count <= 7),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_multigraphs)
+def test_orbits_match_brute_force(g):
+    autos = _brute_automorphisms(g)
+    assert len(_group(g)) == len(autos)
+    images = {v: {gamma[v] for gamma in autos} for v in g.vertices}
+    assert vertex_orbits(g) == _classes(g.vertices, images)
+    ends = {eid: (u, v) for eid, u, v in g.edges}
+
+    def pair_images(eid):
+        u, v = ends[eid]
+        return {tuple(sorted((gamma[u], gamma[v]))) for gamma in autos}
+
+    edge_images = {
+        eid: {e for e, pair in ends.items() if pair in pair_images(eid)} for eid in ends
+    }
+    assert edge_orbits(g) == _classes(ends, edge_images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs)
+def test_generators_preserve_the_edge_multiset(g):
+    for gamma in automorphisms(g):
+        assert sorted(gamma) == sorted(gamma.values()) == list(g.vertices)
+        assert _pair_counts(g, gamma) == _pair_counts(g)
+
+
+@pytest.mark.parametrize("name, order", [("K7", 5040), ("PetersenRef", 120), ("HeawoodRef", 336)])
+def test_group_orders(name, order):
+    assert len(_group(fixture(name))) == order
+
+
+def test_returned_automorphisms_and_orbits_leave_the_cache_alone():
+    g = fixture("PetersenRef")
+    before = (automorphisms(g), vertex_orbits(g), edge_orbits(g))
+    assert before[0] and len(before[1]) == len(before[2]) == 1
+    for gamma in automorphisms(g):
+        gamma.clear()
+    automorphisms(g).append({})
+    assert (automorphisms(g), vertex_orbits(g), edge_orbits(g)) == before
 
 
 def _sha(obj) -> str:

@@ -1,20 +1,31 @@
-"""Planarity of G − S and the triangle exchange, built straight from G's
-edge list, against the routes they replaced.
+"""Planarity of G − S, the triangle exchange and the simplified
+reductions, built straight from G's edge list, against the routes they
+replaced.
 
 The oracles below are copies of those routes: planarity asked of
 simplify(G) with the vertices of S deleted one by one, apex candidates
 ordered by their degree in simplify(G), triangles by an index triple loop,
-and the triangle-to-star built from three edge deletions.
+the triangle-to-star built from three edge deletions, the star-to-triangle
+and simplify each built and then simplified, and contractions as
+simplify(contract_edge(G, e)).
 """
 
 from itertools import combinations
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spatialgraphs.exchange import _triangle_edges, delta_y, triangles
-from spatialgraphs.multigraph import MultiGraph, delete_edge, delete_vertex, from_pairs, simplify
+from spatialgraphs.exchange import _triangle_edges, delta_y, triangles, y_delta
+from spatialgraphs.minors import one_step_reductions
+from spatialgraphs.multigraph import (
+    MultiGraph,
+    contract_edge,
+    delete_edge,
+    delete_vertex,
+    from_pairs,
+    simplify,
+)
 from spatialgraphs.planarity import apex_witness, is_planar
 
 K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
@@ -90,6 +101,23 @@ def _old_delta_y(g: MultiGraph, t) -> MultiGraph:
     return MultiGraph(list(base.vertices) + [x], edges)
 
 
+def _old_simplify(g: MultiGraph) -> MultiGraph:
+    kept = []
+    for (u, v), ids in sorted(g.parallel_classes().items()):
+        if u == v:
+            continue
+        kept.append((min(ids), u, v))
+    return MultiGraph(g.vertices, kept)
+
+
+def _old_y_delta(g: MultiGraph, x: int) -> MultiGraph:
+    a, b, c = g.neighbors(x)
+    kept = [(e, p, q) for e, p, q in g.edges if p != x and q != x]
+    nid = g.next_edge_id()
+    kept += [(nid, a, b), (nid + 1, a, c), (nid + 2, b, c)]
+    return _old_simplify(MultiGraph((v for v in g.vertices if v != x), kept))
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_multigraphs(), st.data())
 def test_is_planar_less_a_vertex_set_matches_simplify_then_delete(g, data):
@@ -115,3 +143,30 @@ def test_triangles_match_index_loop_in_order(g):
 def test_delta_y_matches_edge_deletions(g):
     for t in triangles(g):
         assert delta_y(g, t) == _old_delta_y(g, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_simplify_matches_simplified_rebuild(g):
+    assert simplify(g) == _old_simplify(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs())
+def test_reduction_contractions_match_simplified_contract_edge(g):
+    for label, graph in one_step_reductions(g):
+        if label.startswith("contract edge"):
+            eid = int(label.rsplit("id ", 1)[1].rstrip(")"))
+            assert graph == simplify(contract_edge(g, eid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_y_delta_matches_build_then_simplify(g, data):
+    # hang a star on three vertices, adjacent or not, so that the new
+    # triangle sometimes forms a parallel class that must collapse
+    assume(g.vertex_count >= 3)
+    a, b, c = data.draw(st.lists(st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True))
+    x, nid = g.next_vertex_label(), g.next_edge_id()
+    h = MultiGraph(g.vertices + (x,), list(g.edges) + [(nid, a, x), (nid + 1, b, x), (nid + 2, c, x)])
+    assert y_delta(h, x) == _old_y_delta(h, x)

@@ -1,5 +1,8 @@
 """Minor search, script verification, and cycle lifting through models."""
 
+import pytest
+
+from spatialgraphs import minors
 from spatialgraphs.canon import is_isomorphic
 from spatialgraphs.catalog import (
     d4_in_n9_model,
@@ -12,6 +15,7 @@ from spatialgraphs.minors import has_minor, one_step_reductions, verify_minor_sc
 from spatialgraphs.multigraph import (
     ContractEdge,
     DeleteEdge,
+    GraphError,
     ReductionScript,
     complete_graph,
 )
@@ -48,6 +52,16 @@ def test_has_minor_positive_cases():
 
 def test_has_minor_negative_case():
     assert has_minor(complete_graph(6), family_member("P10")) is None
+
+
+def test_has_minor_budget_error_says_how_far_it_got(monkeypatch):
+    monkeypatch.setattr(minors, "_MAX_STATES", 3)
+    with pytest.raises(GraphError) as err:
+        has_minor(fixture("PetersenRef"), complete_graph(5))
+    assert str(err.value) == (
+        "minor search exceeded its state budget: 3 of 3 states expanded, "
+        "host 10 vertices and 15 edges, pattern 5 vertices and 10 edges"
+    )
 
 
 def test_all_catalogued_scripts_verify():
