@@ -27,12 +27,15 @@ only the identity fixes a leaf.  Each such leaf is either reached, and then
 compared with the first of them, or skipped as the image of an earlier one
 under a product of recorded automorphisms.  So products of recorded ones
 take the first such leaf to every other, which takes in every automorphism.
-``automorphisms`` hands the recorded ones out, and ``vertex_orbits`` and
-``edge_orbits`` read the group's orbits off them without ever listing the
-group.  Edge orbits are orbits of endpoint pairs,
-so parallel edges share one.  Reductions and apex searches use them to
-check one member of each orbit (``minors.one_step_reductions``,
-``planarity.apex_witness``).
+``automorphisms`` hands the recorded ones out, and ``vertex_orbits``,
+``edge_orbits`` and ``_set_orbit`` read the group's orbits off them without
+ever listing the group.  Edge orbits are orbits of endpoint pairs, so
+parallel edges share one.  Reductions, apex searches, the triangle-exchange
+cycle map and the exchange closure use them to do one member's work for
+each orbit: of edges and vertices in ``minors.one_step_reductions``, of
+vertex sets in ``planarity.apex_witness``, of triangles in
+``exchange.phi_maps``, and of triangles and degree-3 vertices in
+``exchange.closure``.
 
 Certificate, labeling and automorphism generators are cached together on
 the graph as immutable values, so ``is_isomorphic`` searches each graph
@@ -229,6 +232,21 @@ def edge_orbits(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     maps = [{(u, v): tuple(sorted((gamma[u], gamma[v]))) for u, v in pairs}
             for gamma in automorphisms(g)]
     return _orbits(pairs, maps, pairs.__getitem__)
+
+
+def _set_orbit(s: frozenset[int], generators: list[dict[int, int]]) -> set[frozenset[int]]:
+    """The images of a vertex set under the group the generators generate,
+    by breadth-first search over the generators."""
+    orbit = {s}
+    todo = [s]
+    while todo:
+        t = todo.pop()
+        for gamma in generators:
+            image = frozenset(gamma[v] for v in t)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def is_isomorphic(g: MultiGraph, h: MultiGraph) -> Optional[dict[int, int]]:

@@ -6,12 +6,16 @@ under a chosen move set, deduplicating by canonical form and remembering one
 shortest discovery path per isomorphism class.  It is also the one place
 that sets each member's two flags: whether the member is reachable from the
 seed by triangle-to-star moves alone, read off that path, and whether it
-has no three pairwise disjoint cycles.
+has no three pairwise disjoint cycles.  Moves in one orbit of a member's
+automorphisms give isomorphic children, so it builds and canonicalises one
+child per orbit of triangles and of degree-3 vertices.
 
 ``phi_maps`` gives the cycle correspondence each triangle-to-star exchange
 induces, on single cycles and on disjoint pairs.  A cycle that misses the
 triangle maps to itself; one that uses one or two triangle edges trades
 them for the star path between the corners where it leaves the triangle.
+An automorphism carries one exchange and its map onto another, so the map
+is built for one triangle per orbit.
 
 Star-to-triangle needs a convention when two neighbors of the degree-3
 vertex are already adjacent (the new triangle edge would collapse with the
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .canon import Certificate, canonical_form, degree_sequence
+from .canon import Certificate, _set_orbit, automorphisms, canonical_form, degree_sequence
 from .cycles import Cycle, CycleTuple, all_cycles, disjoint_tuples_among, gamma3_empty
 from .multigraph import GraphError, MultiGraph, _simple_graph, format_edge_list
 
@@ -155,14 +159,21 @@ class ClosureResult:
 def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureResult:
     """Breadth-first exchange closure of a seed graph.
 
-    moves: subset of {"dy", "yd"}.  Star-to-triangle moves are made only
-    where they keep the edge count (the skip convention); an exchange whose
-    new triangle edge would collapse with an existing edge is skipped.
+    moves: subset of {"dy", "yd"}; the result lists the distinct kinds in
+    that order.  Star-to-triangle moves are made only where they keep the
+    edge count (the skip convention); an exchange whose new triangle edge
+    would collapse with an existing edge is skipped.
 
     Records are sorted by (vertex count, certificate); each carries the
     first discovery path from the seed.  Every attempted move is logged as a
     transition between certificates, including moves whose target was
-    already known.
+    already known.  A member's moves are tried triangles first, then
+    degree-3 vertices.  An automorphism of the member taking one move's site
+    to another's carries the one child onto the other, so only the first
+    move of each orbit of sites builds and canonicalises its child, and the
+    rest of the orbit is logged with its certificate.  A later move of an
+    orbit would only rediscover that child, so records and paths are the
+    ones canonicalising every child gives.
 
     Each record is flagged dy_only_reachable when its discovery path is
     made of "dy" moves alone.  That path is a shortest one, and a "dy" move
@@ -172,10 +183,11 @@ def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureRes
     moves=("dy",)).  Without "dy" only the seed is flagged.  gamma3_empty
     is set from the member's own graph.
     """
-    move_set = tuple(moves)
-    for m in move_set:
+    given = tuple(moves)
+    for m in given:
         if m not in ("dy", "yd"):
             raise GraphError(f"unknown move kind {m!r}")
+    move_set = tuple(m for m in ("dy", "yd") if m in given)
 
     def record(cert, g, provenance):
         dy_only = all(m.kind == "dy" for m in provenance)
@@ -189,20 +201,24 @@ def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureRes
     while queue:
         rec = queue.pop(0)
         g = rec.graph
-        children: list[tuple[Move, MultiGraph]] = []
+        generators = automorphisms(g)  # cached when g was canonicalised
+        site_moves: list[Move] = []
         if "dy" in move_set:
-            for t in triangles(g):
-                children.append((Move("dy", t), delta_y(g, t)))
+            site_moves += [Move("dy", t) for t in triangles(g)]
         if "yd" in move_set:
-            for x in g.vertices:
-                if y_delta_preserves_edges(g, x):
-                    children.append((Move("yd", (x,)), y_delta(g, x)))
-        for move, child in children:
-            cert = canonical_form(child)
+            site_moves += [Move("yd", (x,)) for x in g.vertices if y_delta_preserves_edges(g, x)]
+        orbit_cert: dict[frozenset[int], Certificate] = {}  # a site -> its orbit's child
+        for move in site_moves:
+            site = frozenset(move.site)
+            cert = orbit_cert.get(site)
+            if cert is None:
+                child = _apply(g, move)
+                cert = canonical_form(child)
+                orbit_cert.update(dict.fromkeys(_set_orbit(site, generators), cert))
+                if cert.blob not in known:
+                    known[cert.blob] = record(cert, child, rec.provenance + (move,))
+                    queue.append(known[cert.blob])
             transitions.append(Transition(rec.certificate, move, cert))
-            if cert.blob not in known:
-                known[cert.blob] = record(cert, child, rec.provenance + (move,))
-                queue.append(known[cert.blob])
 
     records = tuple(sorted(
         known.values(), key=lambda r: (r.vertex_count, r.certificate.blob)
@@ -210,16 +226,19 @@ def closure(seed: MultiGraph, moves: Iterable[str] = ("dy", "yd")) -> ClosureRes
     return ClosureResult(seed_cert, move_set, records, tuple(transitions))
 
 
+def _apply(g: MultiGraph, move: Move) -> MultiGraph:
+    if move.kind == "dy":
+        return delta_y(g, tuple(move.site))
+    if move.kind == "yd":
+        return y_delta(g, move.site[0])
+    raise GraphError(f"unknown move kind {move.kind!r}")
+
+
 def replay_provenance(seed: MultiGraph, provenance: Iterable[Move]) -> MultiGraph:
     """Re-run a discovery path from the seed."""
     g = seed
     for move in provenance:
-        if move.kind == "dy":
-            g = delta_y(g, tuple(move.site))
-        elif move.kind == "yd":
-            g = y_delta(g, move.site[0])
-        else:
-            raise GraphError(f"unknown move kind {move.kind!r}")
+        g = _apply(g, move)
     return g
 
 
@@ -278,11 +297,17 @@ class PhiResult:
     fibers: dict[frozenset[Cycle], tuple[CycleTuple, ...]]
     surjective: bool
     max_fiber: int
+    orbit: tuple[tuple[int, int, int], ...]  # the triangles it stands for
 
 
 def phi_maps(g: MultiGraph) -> Iterator[tuple[tuple[tuple[int, int, int], int], PhiResult]]:
-    """Cycle correspondence along every triangle-to-star exchange of g, for
-    n = 1 and 2: ((triangle, n), result) pairs in ``triangles`` order.
+    """Cycle correspondence along the triangle-to-star exchanges of g, one
+    triangle per orbit of g's automorphisms, for n = 1 and 2: ((triangle, n),
+    result) pairs, each triangle the first of its orbit in ``triangles``
+    order.  An automorphism taking triangle t to t' carries the exchange at t
+    onto the one at t' and each map onto the other, so both are surjective or
+    neither, with equal fibers.  A result's ``orbit`` lists the triangles it
+    stands for, in ``triangles`` order; the orbits partition the triangles.
 
     Domain: the n-tuples of disjoint cycles of g less those with the
     triangle as a component, which are the tuples holding all three
@@ -290,13 +315,21 @@ def phi_maps(g: MultiGraph) -> Iterator[tuple[tuple[tuple[int, int, int], int], 
     the set of its cycles' images.  Every image must be a tuple of the
     codomain, the n-tuples of disjoint cycles of the exchanged graph; a
     miss raises ``GraphError``.  Each graph's cycles are enumerated once,
-    and the results are yielded one triangle at a time, so a caller that
-    drops them holds one triangle's maps (each of K7's 35 covers 1,172
-    cycles at n = 1); ``dict(phi_maps(g))`` holds them all.
+    and the results are yielded one orbit at a time, so a caller that drops
+    them holds one triangle's maps (K7's one orbit covers 1,172 cycles at
+    n = 1); ``dict(phi_maps(g))`` holds them all.
     """
     cycles = all_cycles(g)
     domains = {n: disjoint_tuples_among(g, cycles, n) for n in (1, 2)}
-    for tri in triangles(g):
+    generators = automorphisms(g)
+    tris = triangles(g)
+    covered: set[frozenset[int]] = set()
+    for tri in tris:
+        if frozenset(tri) in covered:
+            continue
+        images = _set_orbit(frozenset(tri), generators)
+        covered |= images
+        orbit = tuple(t for t in tris if frozenset(t) in images)
         gy = delta_y(g, tri)
         tri_set = frozenset(_triangle_edges(g, tri))
         star = {w: eid for eid, w in gy.incident(max(gy.vertices))}  # the fresh center
@@ -318,4 +351,5 @@ def phi_maps(g: MultiGraph) -> Iterator[tuple[tuple[tuple[int, int, int], int], 
                 fibers.setdefault(img, []).append(t)
             fib = {k: tuple(v) for k, v in fibers.items()}
             max_fiber = max(map(len, fib.values()), default=0)
-            yield (tri, n), PhiResult(gy, mapping, fib, len(fib) == len(codomain), max_fiber)
+            surjective = len(fib) == len(codomain)
+            yield (tri, n), PhiResult(gy, mapping, fib, surjective, max_fiber, orbit)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .canon import automorphisms, edge_orbits
+from .canon import _set_orbit, automorphisms, edge_orbits
 from .minors import one_step_reductions
 from .multigraph import MultiGraph
 
@@ -87,23 +87,8 @@ def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
                 return removed
             if generators is None:
                 generators = automorphisms(g)
-            failed |= _orbit(removed, generators)
+            failed |= _set_orbit(removed, generators)
     return None
-
-
-def _orbit(s: frozenset[int], generators: list[dict[int, int]]) -> set[frozenset[int]]:
-    """The images of a vertex set under the group the generators generate,
-    by breadth-first search over the generators."""
-    orbit = {s}
-    todo = [s]
-    while todo:
-        t = todo.pop()
-        for gamma in generators:
-            image = frozenset(gamma[v] for v in t)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
 
 
 def is_k_apex(g: MultiGraph, k: int) -> bool:

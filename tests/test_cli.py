@@ -68,6 +68,17 @@ def test_families_json_format(capsys):
     assert None not in names["dy,yd"]
 
 
+def test_manifest_moves_are_the_kinds_run_in_order(capsys, tmp_path):
+    # the report echoes --moves as given; the manifest names the closure run
+    seed = tmp_path / "k6.edges"
+    seed.write_text(format_edge_list(fixture("K6")))
+    for argv, out_dir in ((["--seed", "K6", "--moves", "yd,dy"], tmp_path / "catalog"),
+                          (["--seed", str(seed), "--moves", "yd,dy,yd"], tmp_path / "file")):
+        code, _, _ = run(capsys, "families", *argv, "--out", str(out_dir))
+        assert code == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["moves"] == ["dy", "yd"]
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "list")
     assert code == 0

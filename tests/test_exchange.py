@@ -90,6 +90,19 @@ def test_closure_of_k6():
     assert all(r.graph.edge_count == 15 for r in res.records)
 
 
+def test_closure_moves_are_the_distinct_kinds_in_order():
+    # however the kinds are ordered or repeated, they name one closure
+    k6 = complete_graph(6)
+    plain = closure(k6)
+    assert plain.moves == ("dy", "yd")
+    for moves in (("yd", "dy", "yd"), ("yd", "dy"), ["dy", "dy", "yd"]):
+        res = closure(k6, moves)
+        assert res.moves == ("dy", "yd")
+        assert (res.records, res.transitions) == (plain.records, plain.transitions)
+    assert closure(k6, ("yd", "yd")).moves == ("yd",)
+    assert closure(k6, ()).moves == ()
+
+
 def test_closure_dy_only_is_smaller():
     res = closure(complete_graph(7), moves=("dy",))
     assert len(res.records) == 14

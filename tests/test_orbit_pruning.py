@@ -1,9 +1,11 @@
-"""Reductions and apex searches that check one member of each automorphism
-orbit, against the exhaustive routes they replaced.
+"""Reductions, apex searches, the exchange closure and the triangle-exchange
+cycle map, which do the work of one member of each automorphism orbit,
+against the exhaustive routes they replaced.
 
 The oracles below are copies of those routes: every edge and vertex
-reduced and canonicalised, every vertex set tried for planarity, and every
-one-step reduction tested for 2-apexness.
+reduced and canonicalised, every vertex set tried for planarity, every
+one-step reduction tested for 2-apexness, every exchange's child
+canonicalised, and the cycle map built for every triangle.
 """
 
 from itertools import combinations
@@ -14,10 +16,25 @@ from hypothesis import strategies as st
 
 from spatialgraphs import canon, planarity
 from spatialgraphs.canon import canonical_form
-from spatialgraphs.catalog import heawood_family
+from spatialgraphs.catalog import fixture, heawood_family
 from spatialgraphs.claims import claim_apex_proper_minors
+from spatialgraphs.cycles import all_cycles, disjoint_tuples_among, gamma3_empty
+from spatialgraphs.exchange import (
+    ClosureResult,
+    FamilyRecord,
+    Move,
+    Transition,
+    _triangle_edges,
+    closure,
+    delta_y,
+    phi_maps,
+    triangles,
+    y_delta,
+    y_delta_preserves_edges,
+)
 from spatialgraphs.minors import one_step_reductions
 from spatialgraphs.multigraph import (
+    GraphError,
     MultiGraph,
     complete_graph,
     contract_edge,
@@ -156,3 +173,170 @@ def test_apex_proper_minors_work_is_pinned(monkeypatch):
     ok, evidence = claim_apex_proper_minors(None, 0, 1)
     assert ok and len(evidence["members"]) == 20
     assert counts == {"is_planar": 1914, "_canonical": 248}
+
+
+# -- the exchange closure and the cycle map, one member per orbit ---------------
+
+
+def _old_closure(seed: MultiGraph, moves=("dy", "yd")) -> ClosureResult:
+    move_set = tuple(moves)
+    for m in move_set:
+        if m not in ("dy", "yd"):
+            raise GraphError(f"unknown move kind {m!r}")
+
+    def record(cert, g, provenance):
+        dy_only = all(m.kind == "dy" for m in provenance)
+        return FamilyRecord(cert, g, provenance, dy_only, gamma3_empty(g))
+
+    seed_cert = canonical_form(seed)
+    known = {seed_cert.blob: record(seed_cert, seed, ())}
+    queue = [known[seed_cert.blob]]
+    transitions = []
+
+    while queue:
+        rec = queue.pop(0)
+        g = rec.graph
+        children = []
+        if "dy" in move_set:
+            for t in triangles(g):
+                children.append((Move("dy", t), delta_y(g, t)))
+        if "yd" in move_set:
+            for x in g.vertices:
+                if y_delta_preserves_edges(g, x):
+                    children.append((Move("yd", (x,)), y_delta(g, x)))
+        for move, child in children:
+            cert = canonical_form(child)
+            transitions.append(Transition(rec.certificate, move, cert))
+            if cert.blob not in known:
+                known[cert.blob] = record(cert, child, rec.provenance + (move,))
+                queue.append(known[cert.blob])
+
+    records = tuple(sorted(
+        known.values(), key=lambda r: (r.vertex_count, r.certificate.blob)
+    ))
+    return ClosureResult(seed_cert, move_set, records, tuple(transitions))
+
+
+def _old_phi_maps(g: MultiGraph):
+    """(triangle, n) -> (exchanged, mapping, fibers, surjective, max_fiber)
+    for every triangle."""
+    out = {}
+    cycles = all_cycles(g)
+    domains = {n: disjoint_tuples_among(g, cycles, n) for n in (1, 2)}
+    for tri in triangles(g):
+        gy = delta_y(g, tri)
+        tri_set = frozenset(_triangle_edges(g, tri))
+        star = {w: eid for eid, w in gy.incident(max(gy.vertices))}
+        phi = {}
+        for c in cycles:
+            ends = set()
+            for eid in c & tri_set:
+                ends ^= set(g.endpoints(eid))
+            phi[c] = (c - tri_set) | {star[v] for v in ends} if ends else c
+        gy_cycles = all_cycles(gy)
+        for n in (1, 2):
+            codomain = set(map(frozenset, disjoint_tuples_among(gy, gy_cycles, n)))
+            mapping = {t: frozenset(map(phi.get, t)) for t in domains[n] if tri_set not in t}
+            if not codomain.issuperset(mapping.values()):
+                raise GraphError("triangle exchange image is not a tuple of disjoint cycles")
+            fibers = {}
+            for t, img in mapping.items():
+                fibers.setdefault(img, []).append(t)
+            fib = {k: tuple(v) for k, v in fibers.items()}
+            max_fiber = max(map(len, fib.values()), default=0)
+            out[tri, n] = (gy, mapping, fib, len(fib) == len(codomain), max_fiber)
+    return out
+
+
+def _marked(g: MultiGraph, site) -> MultiGraph:
+    """g with more loops added at each vertex of site than any vertex of g
+    carries: an isomorphism between two such graphs maps site onto site and
+    is an automorphism of g, so two sites share an orbit exactly when their
+    marked graphs are isomorphic."""
+    extra = 1 + max(len(g.loops_at(v)) for v in g.vertices)
+    pairs = [(u, v) for _, u, v in g.edges] + [(v, v) for v in site for _ in range(extra)]
+    return from_pairs(pairs, vertices=g.vertices)
+
+
+def _same_closure(seed, moves):
+    new, old = closure(seed, moves), _old_closure(seed, moves)
+    assert new.seed_certificate == old.seed_certificate
+    assert [(r.certificate, r.provenance, r.graph, r.dy_only_reachable, r.gamma3_empty)
+            for r in new.records] == \
+        [(r.certificate, r.provenance, r.graph, r.dy_only_reachable, r.gamma3_empty)
+         for r in old.records]
+    assert new.transitions == old.transitions
+
+
+def _same_phi_maps(g):
+    new, old = dict(phi_maps(g)), _old_phi_maps(g)
+    orbits = [res.orbit for (_, n), res in new.items() if n == 1]
+    assert list(new) == [(orbit[0], n) for orbit in orbits for n in (1, 2)]
+    # the orbits partition the triangles, each in triangles order, and are
+    # the classes of triangles whose marked graphs are isomorphic
+    order = {t: i for i, t in enumerate(triangles(g))}
+    assert sorted(t for orbit in orbits for t in orbit) == sorted(order)
+    assert all(list(orbit) == sorted(orbit, key=order.get) for orbit in orbits)
+    classes = {}
+    for t in order:
+        classes.setdefault(canonical_form(_marked(g, t)), []).append(t)
+    assert sorted(orbits) == sorted(map(tuple, classes.values()))
+    for (t, n), res in new.items():
+        assert (res.exchanged, res.mapping, res.fibers, res.surjective, res.max_fiber) == \
+            old[t, n]
+        for other in res.orbit:
+            assert old[other, n][3:] == (res.surjective, res.max_fiber)
+    return orbits
+
+
+@st.composite
+def symmetric_multigraphs(draw):
+    """One or two copies of a small piece holding a triangle, with loops and
+    parallel edges, beside an optional K4, under shuffled labels.  The copies
+    and the K4 give triangles and degree-3 vertices non-trivial orbits."""
+    k = draw(st.integers(3, 5))
+    ends = st.integers(0, k - 1)
+    piece = [(0, 1), (1, 2), (2, 0)] + draw(st.lists(st.tuples(ends, ends), max_size=4))
+    copies = draw(st.integers(1, 2))
+    pairs = [(u + i * k, v + i * k) for i in range(copies) for u, v in piece]
+    n = copies * k
+    if draw(st.booleans()):
+        pairs += [(n + a, n + b) for a in range(4) for b in range(a + 1, 4)]
+        n += 4
+    labels = draw(st.permutations(range(10, 10 + n)))
+    return from_pairs([(labels[u], labels[v]) for u, v in pairs], vertices=labels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(symmetric_multigraphs(), st.sampled_from([("dy", "yd"), ("dy",), ("yd",)]))
+def test_closure_matches_every_child_canonicalised(g, moves):
+    _same_closure(g, moves)
+
+
+@pytest.mark.parametrize("moves", [("dy", "yd"), ("dy",), ("yd",)])
+@pytest.mark.parametrize("name", ["K6", "K7", "K3311"])
+def test_family_closures_match_every_child_canonicalised(name, moves):
+    _same_closure(fixture(name), moves)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_multigraphs())
+def test_phi_maps_match_every_triangle_mapped(g):
+    _same_phi_maps(g)
+
+
+def test_phi_maps_of_family_seeds_match_every_triangle_mapped():
+    # K6's 20 and K7's 35 triangles form one orbit each; N9's 9 form two
+    sizes = {name: sorted(map(len, _same_phi_maps(fixture(name)))) for name in ("K6", "K7", "N9")}
+    assert sizes == {"K6": [20], "K7": [35], "N9": [1, 8]}
+
+
+def test_family_closures_work_is_pinned(monkeypatch):
+    """The canonical searches of the three family closures; canonicalising
+    every child, as before the orbit lookup, takes 786."""
+    calls = []
+    search = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda g: calls.append(g) or search(g))
+    states = [len(closure(fixture(name)).records) for name in ("K6", "K7", "K3311")]
+    assert states == [7, 20, 58]
+    assert len(calls) == 361
