@@ -6,6 +6,19 @@ embedding must satisfy the Euler relation V - E + F = 1 + C, which is
 checked by walking all faces.  The test suite cross-validates the verdict
 against an independent K5/K3,3 minor search, so the two routes keep each
 other honest.
+
+A graph g that is not k-apex settles some planarity questions about its
+one-step reductions h.  g - T is non-planar for every vertex set T with
+|T| <= k, so for a set S of at most k vertices h - S is non-planar, with no
+test, in two cases:
+
+- |S| < k.  h contains g - x as a subgraph on the same labels, loops and
+  parallel edges aside (planarity ignores them): x = u for h = g - uv,
+  x = d for a contraction of uv that drops d, x = v for h = g - v.  So
+  h - S contains g - T for T = S with x added, and |T| <= k.
+- h = g - uv and S meets {u, v}.  Then h - S = g - S.
+
+``all_proper_minors_2apex`` uses this with k = 2.
 """
 
 from __future__ import annotations
@@ -71,7 +84,16 @@ def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
     graph onto the other.  The first planar set is never skipped, so the
     witness is the one trying every set would give.
     """
-    if is_planar(g):
+    return _apex_search(g, k)
+
+
+def _apex_search(g: MultiGraph, k: int, below: int = 0,
+                 ends: frozenset[int] = frozenset()) -> Optional[frozenset[int]]:
+    """``apex_witness``'s search, told that g - S is non-planar for every
+    set S of fewer than ``below`` vertices or meeting ``ends``.  Such a set
+    is not tested, but its orbit joins the failed ones like a tested set's.
+    """
+    if below == 0 and is_planar(g):
         return frozenset()
     # high degree vertices are the likeliest apexes; try those first, by
     # their count of distinct neighbours (loops and parallels never matter)
@@ -83,7 +105,7 @@ def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
             removed = frozenset(combo)
             if removed in failed:
                 continue
-            if is_planar(g, removed):
+            if size >= below and not removed & ends and is_planar(g, removed):
                 return removed
             if generators is None:
                 generators = automorphisms(g)
@@ -97,26 +119,40 @@ def is_k_apex(g: MultiGraph, k: int) -> bool:
     return apex_witness(g, k) is not None
 
 
-def all_proper_minors_2apex(g: MultiGraph) -> tuple[bool, list[str]]:
-    """Check every one-step reduction of g for 2-apexness.
+def all_proper_minors_2apex(g: MultiGraph) -> tuple[Optional[frozenset[int]], list[str]]:
+    """Check g and every one-step reduction of g for 2-apexness.
 
     Deleting or contracting further only helps (2-apexness is closed under
     minors), so covering the one-step reductions covers all proper minors.
     The same closure skips a vertex deletion g - v once the deletion of an
     edge at v, or of the first edge of that edge's orbit, was found 2-apex:
-    g - v is a minor of g - e.  Returns (ok, failing reduction labels).
+    g - v is a minor of g - e.
+
+    g itself is searched once.  When g is not k-apex (here k = 2), every
+    reduction h has h - S non-planar for each set S with |S| < k, and
+    h = g - uv also for each S of at most k vertices that meets {u, v}
+    (see the module docstring).  The reduction's search tests none of
+    those sets; as they are non-planar, its witness is still the one
+    ``apex_witness`` gives.  When g is 2-apex, no set is settled.  Returns
+    (g's ``apex_witness`` for k = 2, labels of the reductions not 2-apex).
     """
+    witness = apex_witness(g, 2)
+    below = 2 if witness is None else 0
     first = {e: ids[0] for ids in edge_orbits(g) for e in ids}
     two_apex_edges: set[int] = set()  # first edges of orbits whose deletion is 2-apex
     failures = []
     for label, graph in one_step_reductions(g):
+        ends: frozenset[int] = frozenset()
         if label.startswith("delete vertex"):
             (v,) = set(g.vertices) - set(graph.vertices)
             if any(first[e] in two_apex_edges for e, _ in g.incident(v)):
                 continue
-        if not is_k_apex(graph, 2):
-            failures.append(label)
-        elif graph.vertex_count == g.vertex_count:  # an edge deletion g - e
+        elif label.startswith("delete edge"):
             (e,) = set(g.edge_ids()) - set(graph.edge_ids())
+            if witness is None:
+                ends = frozenset(g.endpoints(e))
+        if _apex_search(graph, 2, below, ends) is None:
+            failures.append(label)
+        elif label.startswith("delete edge"):
             two_apex_edges.add(e)
-    return (not failures, failures)
+    return witness, failures

@@ -1,6 +1,7 @@
 """Reductions, apex searches, the exchange closure and the triangle-exchange
 cycle map, which do the work of one member of each automorphism orbit,
-against the exhaustive routes they replaced.
+against the exhaustive routes they replaced; and the vertex sets a graph
+that is not k-apex settles in its reductions' apex searches.
 
 The oracles below are copies of those routes: every edge and vertex
 reduced and canonicalised, every vertex set tried for planarity, every
@@ -48,6 +49,7 @@ from spatialgraphs.planarity import all_proper_minors_2apex, apex_witness, is_pl
 K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 K6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+K7 = [(a, b) for a in range(7) for b in range(a + 1, 7)]
 
 
 def _old_one_step_reductions(g: MultiGraph):
@@ -86,19 +88,20 @@ def _old_all_proper_minors_2apex(g: MultiGraph):
     for label, graph in _old_one_step_reductions(g):
         if _old_apex_witness(graph, 2) is None:
             failures.append(label)
-    return (not failures, failures)
+    return (_old_apex_witness(g, 2), failures)
 
 
 @st.composite
-def apex_multigraphs(draw):
-    """Disjoint unions of one or two non-planar pieces (K5, K3,3, K6) and
-    small extras, with loops, parallel edges and isolated vertices.
+def apex_multigraphs(draw, pieces=st.lists(st.sampled_from([K5, K33, K6]), min_size=1, max_size=2)):
+    """Disjoint unions of non-planar pieces, by default one or two of K5,
+    K3,3 and K6, and small extras, with loops, parallel edges and isolated
+    vertices.
 
     K6 needs two vertices deleted before it is planar, K5 and K3,3 one, so
     some unions are not 2-apex and some of their reductions fail too.  Labels
     are shuffled so that label order and degree order disagree.
     """
-    pieces = draw(st.lists(st.sampled_from([K5, K33, K6]), min_size=1, max_size=2))
+    pieces = draw(pieces)
     pairs, n = [], 0
     for piece in pieces:
         pairs += [(n + a, n + b) for a, b in piece]
@@ -139,8 +142,10 @@ def test_proper_minor_check_matches_every_reduction_checked(g):
 def test_two_k6_have_failing_reductions():
     g = from_pairs(K6 + [(a + 6, b + 6) for a, b in K6])
     _same_reductions(g)
-    ok, failures = all_proper_minors_2apex(g)
-    assert (ok, failures) == _old_all_proper_minors_2apex(g)
+    witness, failures = all_proper_minors_2apex(g)
+    assert (witness, failures) == _old_all_proper_minors_2apex(g)
+    assert witness is None
+    _check_settled_sets(g)
     # deleting vertex 0 gives K5 ⊔ K6 again, as contracting edge 0-1 did
     assert failures == ["delete edge 0-1 (id 0)", "contract edge 0-1 (id 0)"]
 
@@ -153,9 +158,74 @@ def test_complete_graphs(g):
     assert all_proper_minors_2apex(g) == _old_all_proper_minors_2apex(g)
 
 
+# -- the sets a member that is not k-apex settles in its reductions -------------
+
+
+def _every_reduction(g: MultiGraph):
+    """(h, ends) for every edge deletion, contraction and vertex deletion h
+    of g, none pruned or deduplicated; ends holds the endpoints of the edge
+    an edge deletion removes, and is empty for the other reductions."""
+    for eid, u, v in g.edges:
+        yield delete_edge(g, eid), frozenset((u, v))
+        if u != v:
+            yield simplify(contract_edge(g, eid)), frozenset()
+    for v in g.vertices:
+        yield delete_vertex(g, v), frozenset()
+
+
+def _check_settled_sets(g: MultiGraph) -> list[int]:
+    """For the k in (1, 2) at which g is not k-apex, and each reduction h:
+    h - S is non-planar for every S of at most k vertices with |S| < k or S
+    meeting the deleted edge's ends.  When g is not 2-apex, h's search at 2,
+    not testing those sets, finds apex_witness's witness.  Returns those k."""
+    ks = [k for k in (1, 2) if _old_apex_witness(g, k) is None]
+    for h, ends in _every_reduction(g):
+        settled = {s for k in ks for size in range(k + 1)
+                   for s in map(frozenset, combinations(h.vertices, size))
+                   if size < k or s & ends}
+        assert not any(is_planar(h, s) for s in settled)
+        if 2 in ks:
+            assert planarity._apex_search(h, 2, 2, ends) == apex_witness(h, 2)
+    return ks
+
+
+# K7 is not 2-apex, K6 and two of K5, K3,3 are not 1-apex; the larger
+# K6 ⊔ K6 is checked in test_two_k6_have_failing_reductions
+@settings(max_examples=15, deadline=None)
+@given(apex_multigraphs(st.sampled_from([[K7], [K6], [K5, K5], [K5, K33], [K33, K33]])))
+def test_sets_settled_by_a_member_are_non_planar(g):
+    _check_settled_sets(g)
+
+
+def test_sets_settled_by_heawood_members_are_non_planar():
+    # K7 and N9 among them; none is 2-apex
+    for r in heawood_family().records:
+        assert _check_settled_sets(r.graph) == [1, 2]
+
+
+def test_settled_sets_join_the_failed_orbits(monkeypatch):
+    """K7 with a loop at 0 is not 2-apex.  Deleting the loop gives K7, and
+    the loop's end settles {0, 1}, whose orbit holds every 2-set: the check
+    tests 8 sets in all, and 9 if a settled set's orbit were not kept."""
+    g = from_pairs(K7 + [(0, 0)])
+    calls = []
+    test = planarity.is_planar
+    monkeypatch.setattr(planarity, "is_planar", lambda *args: calls.append(args) or test(*args))
+    assert all_proper_minors_2apex(g) == (None, ["delete edge 0-0 (id 21)"])
+    assert len(calls) == 8
+    assert all_proper_minors_2apex(g) == _old_all_proper_minors_2apex(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(apex_multigraphs().filter(lambda g: apex_witness(g, 2) is not None))
+def test_proper_minor_check_of_two_apex_graphs_settles_nothing(g):
+    assert all_proper_minors_2apex(g) == _old_all_proper_minors_2apex(g)
+
+
 def test_apex_proper_minors_work_is_pinned(monkeypatch):
     """The claim's planarity tests and canonical searches over the Heawood
-    family; a lost orbit pruning raises them (4,340 and 1,050 without)."""
+    family; a lost orbit pruning raises them (4,340 and 1,050 without), and
+    testing the sets each member settles in its reductions takes 1,914."""
     heawood_family()  # built and canonicalised outside the count
     counts = {"is_planar": 0, "_canonical": 0}
 
@@ -172,7 +242,7 @@ def test_apex_proper_minors_work_is_pinned(monkeypatch):
     counting(canon, "_canonical")
     ok, evidence = claim_apex_proper_minors(None, 0, 1)
     assert ok and len(evidence["members"]) == 20
-    assert counts == {"is_planar": 1914, "_canonical": 248}
+    assert counts == {"is_planar": 541, "_canonical": 248}
 
 
 # -- the exchange closure and the cycle map, one member per orbit ---------------

@@ -64,6 +64,6 @@ def test_family_members_are_not_two_apex(n9):
 def test_all_proper_minors_two_apex_on_small_case():
     # one-edge-smaller children of K6 lose enough to be planar after
     # removing two vertices
-    ok, failures = all_proper_minors_2apex(complete_graph(6))
-    assert ok
+    witness, failures = all_proper_minors_2apex(complete_graph(6))
+    assert witness == apex_witness(complete_graph(6), 2)
     assert failures == []
