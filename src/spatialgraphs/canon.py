@@ -8,6 +8,17 @@ equal certificates iff they are isomorphic as multigraphs.  Exponential in
 the worst case, which is fine at the sizes this library works at (<= 16
 vertices or so).
 
+Each search first compiles g into a vertex-index form: vertex i is
+``g.vertices[i]``, its neighbours are one (index, loop flag, multiplicity)
+entry per parallel class, and the encoding reads the classes as (i, j,
+multiplicity).  Colors are a list, always dense (0..k-1; an individualized
+vertex gets k), so a round that leaves k distinct keys split nothing and
+refinement stops there.  A vertex's key is its color and its sorted
+(2·color + loop, count) pairs; (color, loop) -> 2·color + loop keeps the
+order of the pairs, so the ranks are those of keying on (color, loop)
+itself.  A discrete partition cannot split, so a leaf is refined no
+further, and its colors are its vertices' positions.
+
 The search is pruned by automorphisms (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 60, 2014).  Two leaves with equal
 encodings differ by an automorphism, which the search records.  At each
@@ -71,88 +82,97 @@ def degree_sequence(g: MultiGraph) -> tuple[int, ...]:
     return tuple(sorted((g.degree(v) for v in g.vertices), reverse=True))
 
 
-def _neighbor_profile(g: MultiGraph, colors: dict[int, int], v: int):
-    prof: dict[tuple[int, bool], int] = {}
-    for eid, w in g.incident(v):
-        key = (colors[w], w == v)
-        prof[key] = prof.get(key, 0) + 1
-    return tuple(sorted(prof.items()))
+def _compile(g: MultiGraph):
+    """g in vertex-index form, indices in ``g.vertices`` order: per index a
+    tuple of (neighbour index, loop flag, multiplicity), each parallel class
+    merged into one entry; the encoding's header; and the endpoint-pair
+    classes as (i, j, multiplicity) with i <= j."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    classes = tuple((index[u], index[v], len(ids)) for (u, v), ids in g.parallel_classes().items())
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
+    for i, j, m in classes:
+        if i == j:
+            adj[i].append((i, 1, m))
+        else:
+            adj[i].append((j, 0, m))
+            adj[j].append((i, 0, m))
+    return tuple(map(tuple, adj)), f"{g.vertex_count}|{g.edge_count}|", classes
 
 
-def _refine(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
-    """Refine colors until stable.  Color values are dense ints ordered by
-    an isomorphism-invariant structural key, so they compare the same way in
-    any relabeling of g."""
-    while True:
-        keys = {v: (colors[v], _neighbor_profile(g, colors, v)) for v in g.vertices}
-        order = sorted(set(keys.values()))
-        rank = {k: i for i, k in enumerate(order)}
-        new = {v: rank[keys[v]] for v in g.vertices}
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj, colors: list[int], n_colors: int) -> tuple[list[int], int]:
+    """Refine the dense colors 0..n_colors-1 until stable.  Color values are
+    dense ints ordered by an isomorphism-invariant structural key, so they
+    compare the same way in any relabeling of g."""
+    n = len(colors)
+    while n_colors < n:  # a discrete partition cannot split
+        keys = []
+        for c, nbrs in zip(colors, adj):
+            prof: dict[int, int] = {}
+            for j, loop, m in nbrs:
+                k = 2 * colors[j] + loop
+                prof[k] = prof.get(k, 0) + m
+            keys.append((c, tuple(sorted(prof.items()))))
+        order = sorted(set(keys))
+        if len(order) == n_colors:  # no cell split
+            break
+        rank = {k: r for r, k in enumerate(order)}
+        colors = [rank[k] for k in keys]
+        n_colors = len(order)
+    return colors, n_colors
 
 
-def _cells(g: MultiGraph, colors: dict[int, int]) -> list[list[int]]:
-    by: dict[int, list[int]] = {}
-    for v in g.vertices:
-        by.setdefault(colors[v], []).append(v)
-    return [sorted(by[c]) for c in sorted(by)]
+def _encode(head: str, classes, position: list[int]) -> bytes:
+    body = []
+    for i, j, m in classes:
+        a, b = position[i], position[j]
+        body.append((a, b, m) if a <= b else (b, a, m))
+    body.sort()
+    return (head + ";".join(f"{a},{b},{m}" for a, b, m in body)).encode("ascii")
 
 
-def _encode(g: MultiGraph, position: dict[int, int]) -> bytes:
-    classes: dict[tuple[int, int], int] = {}
-    for _, u, v in g.edges:
-        a, b = position[u], position[v]
-        if a > b:
-            a, b = b, a
-        classes[(a, b)] = classes.get((a, b), 0) + 1
-    body = ";".join(f"{a},{b},{m}" for (a, b), m in sorted(classes.items()))
-    return f"{g.vertex_count}|{g.edge_count}|{body}".encode("ascii")
-
-
-def _search(g: MultiGraph, colors: dict[int, int], prefix: tuple[int, ...],
+def _search(form, colors: list[int], n_colors: int, prefix: tuple[int, ...],
             best: list, autos: list) -> None:
-    colors = _refine(g, colors)
-    cells = _cells(g, colors)
-    target = next((c for c in cells if len(c) > 1), None)
-    if target is None:
-        position: dict[int, int] = {}
-        for i, cell in enumerate(cells):
-            position[cell[0]] = i
-        blob = _encode(g, position)
+    adj, head, classes = form
+    colors, n_colors = _refine(adj, colors, n_colors)
+    if n_colors == len(colors):  # a leaf: each color is its vertex's position
+        blob = _encode(head, classes, colors)
         if best[0] is None or blob < best[0]:
             best[0] = blob
-            best[1] = position
+            best[1] = colors
         elif blob == best[0]:
             # two leaves encode alike: their labelings differ by an automorphism
-            at = {i: v for v, i in best[1].items()}
-            autos.append({v: at[i] for v, i in position.items()})
+            at = [0] * len(colors)
+            for i, p in enumerate(best[1]):
+                at[p] = i
+            autos.append([at[p] for p in colors])
         return
-    n_colors = max(colors.values()) + 1
+    sizes = [0] * n_colors
+    for c in colors:
+        sizes[c] += 1
+    cell = next(c for c, size in enumerate(sizes) if size > 1)
+    target = [i for i, c in enumerate(colors) if c == cell]
     explored: list[int] = []
+    root, known = None, -1
     for v in target:
-        if explored and _in_explored_orbit(v, explored, target, prefix, autos):
-            continue
-        branched = dict(colors)
+        if explored:
+            # skip v when an automorphism found so far that fixes the
+            # individualized prefix (and so keeps the cell) takes an
+            # explored sibling to it; the roots change only with autos
+            if known != len(autos):
+                known = len(autos)
+                fixing = [gamma for gamma in autos if all(gamma[p] == p for p in prefix)]
+                root = _orbit_roots(target, fixing)
+            if any(root[w] == root[v] for w in explored):
+                continue
+        branched = list(colors)
         branched[v] = n_colors  # individualize, then refine again
-        _search(g, branched, prefix + (v,), best, autos)
+        _search(form, branched, n_colors + 1, prefix + (v,), best, autos)
         explored.append(v)
-
-
-def _in_explored_orbit(v: int, explored: list[int], target: list[int],
-                       prefix: tuple[int, ...], autos: list) -> bool:
-    """Whether v shares an orbit with an explored sibling under the
-    automorphisms found so far that fix the individualized prefix (such an
-    automorphism keeps the cell)."""
-    fixing = [gamma for gamma in autos if all(gamma[p] == p for p in prefix)]
-    root = _orbit_roots(target, fixing)
-    return any(root[w] == root[v] for w in explored)
 
 
 def _orbit_roots(items, maps) -> dict:
     """Item -> one representative of its orbit under the maps, each a dict
-    taking every item to an item."""
+    or list taking every item to an item."""
     root = {x: x for x in items}
 
     def find(x):
@@ -174,15 +194,16 @@ def _canonical(g: MultiGraph) -> tuple[bytes, dict[int, int]]:
     generators, and return the certificate bytes and the position map."""
     autos: list = []
     if g.vertex_count == 0:
-        blob, position = b"0|0|", {}
+        blob, labeling = b"0|0|", ()
     else:
         best: list = [None, None]
-        _search(g, {v: 0 for v in g.vertices}, (), best, autos)
-        blob, position = best
-    g._labeling_cache = tuple(position[v] for v in g.vertices)
-    g._automorphism_cache = tuple(tuple(gamma[v] for v in g.vertices) for gamma in autos)
+        _search(_compile(g), [0] * g.vertex_count, 1, (), best, autos)
+        blob, labeling = best[0], tuple(best[1])
+    vs = g.vertices
+    g._labeling_cache = labeling
+    g._automorphism_cache = tuple(tuple(vs[i] for i in gamma) for gamma in autos)
     g._cert_cache = Certificate(blob)
-    return blob, position
+    return blob, dict(zip(vs, labeling))
 
 
 def _cached(g: MultiGraph) -> Certificate:

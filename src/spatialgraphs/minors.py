@@ -14,7 +14,7 @@ history, so callers can lift cycles through it or validate it independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
 from .cycles import MinorModel
@@ -198,25 +198,31 @@ def one_step_reductions(g: MultiGraph) -> list[tuple[str, MultiGraph]]:
     the deduplication would drop.  So the labels are those of reducing
     every edge and vertex.
     """
-    out: list[tuple[str, MultiGraph]] = []
-    seen: set[bytes] = set()
+    return [(label, graph) for _, _, label, graph in _reductions(g)]
 
-    def push(label: str, graph: MultiGraph):
-        cert = canonical_form(graph).blob
-        if cert not in seen:
-            seen.add(cert)
-            out.append((label, graph))
 
+def _reductions(g: MultiGraph) -> Iterator[tuple[str, int, str, MultiGraph]]:
+    """``one_step_reductions`` as (kind, removed edge id or vertex, label,
+    graph), kind being "delete edge", "contract edge" or "delete vertex"."""
     firsts = {ids[0] for ids in edge_orbits(g)}
     edges = [e for e in g.edges if e[0] in firsts]
-    for eid, u, v in edges:
-        push(f"delete edge {u}-{v} (id {eid})", delete_edge(g, eid))
-    for eid, u, v in edges:
-        if u != v:
-            push(f"contract edge {u}-{v} (id {eid})", _simple_graph(*_contraction(g, eid)))
-    for orbit in vertex_orbits(g):
-        push(f"delete vertex {orbit[0]}", delete_vertex(g, orbit[0]))
-    return out
+
+    def candidates():
+        for eid, u, v in edges:
+            yield "delete edge", eid, f"delete edge {u}-{v} (id {eid})", delete_edge(g, eid)
+        for eid, u, v in edges:
+            if u != v:
+                yield ("contract edge", eid, f"contract edge {u}-{v} (id {eid})",
+                       _simple_graph(*_contraction(g, eid)))
+        for orbit in vertex_orbits(g):
+            yield "delete vertex", orbit[0], f"delete vertex {orbit[0]}", delete_vertex(g, orbit[0])
+
+    seen: set[bytes] = set()
+    for reduction in candidates():
+        cert = canonical_form(reduction[3]).blob
+        if cert not in seen:
+            seen.add(cert)
+            yield reduction
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import Optional
 import networkx as nx
 
 from .canon import _set_orbit, automorphisms, edge_orbits
-from .minors import one_step_reductions
+from .minors import _reductions
 from .multigraph import MultiGraph
 
 
@@ -141,18 +141,15 @@ def all_proper_minors_2apex(g: MultiGraph) -> tuple[Optional[frozenset[int]], li
     first = {e: ids[0] for ids in edge_orbits(g) for e in ids}
     two_apex_edges: set[int] = set()  # first edges of orbits whose deletion is 2-apex
     failures = []
-    for label, graph in one_step_reductions(g):
+    for kind, item, label, graph in _reductions(g):
         ends: frozenset[int] = frozenset()
-        if label.startswith("delete vertex"):
-            (v,) = set(g.vertices) - set(graph.vertices)
-            if any(first[e] in two_apex_edges for e, _ in g.incident(v)):
+        if kind == "delete vertex":
+            if any(first[e] in two_apex_edges for e, _ in g.incident(item)):
                 continue
-        elif label.startswith("delete edge"):
-            (e,) = set(g.edge_ids()) - set(graph.edge_ids())
-            if witness is None:
-                ends = frozenset(g.endpoints(e))
+        elif kind == "delete edge" and witness is None:
+            ends = frozenset(g.endpoints(item))
         if _apex_search(graph, 2, below, ends) is None:
             failures.append(label)
-        elif label.startswith("delete edge"):
-            two_apex_edges.add(e)
+        elif kind == "delete edge":
+            two_apex_edges.add(item)
     return witness, failures

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spatialgraphs import canon
@@ -26,6 +26,7 @@ from spatialgraphs.catalog import (
     k3311_family,
     petersen_family,
 )
+from spatialgraphs.minors import one_step_reductions
 from spatialgraphs.multigraph import MultiGraph, complete_graph, from_pairs
 
 
@@ -89,41 +90,111 @@ class _OverBudget(Exception):
     pass
 
 
-def _unpruned_canonical(g, budget=5000):
-    """The search before automorphism pruning: one leaf per automorphism,
-    first smallest leaf in depth-first order wins."""
-    if g.vertex_count == 0:
-        return b"0|0|", {}
-    best = [None, None]
-    leaves = [0]
+# The search as it ran on dicts and ``g.incident`` before the compiled index
+# form, frozen here so that the compiled search is tested against it and not
+# against itself.
 
-    def search(colors):
-        colors = canon._refine(g, colors)
-        cells = canon._cells(g, colors)
+
+def _dict_neighbor_profile(g, colors, v):
+    prof = {}
+    for _, w in g.incident(v):
+        key = (colors[w], w == v)
+        prof[key] = prof.get(key, 0) + 1
+    return tuple(sorted(prof.items()))
+
+
+def _dict_refine(g, colors):
+    while True:
+        keys = {v: (colors[v], _dict_neighbor_profile(g, colors, v)) for v in g.vertices}
+        rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+        new = {v: rank[keys[v]] for v in g.vertices}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _dict_cells(g, colors):
+    by = {}
+    for v in g.vertices:
+        by.setdefault(colors[v], []).append(v)
+    return [sorted(by[c]) for c in sorted(by)]
+
+
+def _dict_encode(g, position):
+    classes = Counter()
+    for _, u, v in g.edges:
+        a, b = sorted((position[u], position[v]))
+        classes[(a, b)] += 1
+    body = ";".join(f"{a},{b},{m}" for (a, b), m in sorted(classes.items()))
+    return f"{g.vertex_count}|{g.edge_count}|{body}".encode("ascii")
+
+
+def _dict_search(g, prune=True, budget=None):
+    """(certificate bytes, position map, automorphisms recorded).  With
+    prune=False, the search before automorphism pruning: one leaf per
+    automorphism, first smallest leaf in depth-first order wins; with
+    prune=True, the pruned search, which rebuilds the orbits of the
+    prefix-fixing automorphisms for every sibling."""
+    if g.vertex_count == 0:
+        return b"0|0|", {}, []
+    best, autos, leaves = [None, None], [], [0]
+
+    def same_orbit(v, explored, target, prefix):
+        root = {x: x for x in target}
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for gamma in autos:
+            if all(gamma[p] == p for p in prefix):
+                for x in target:
+                    a, b = find(x), find(gamma[x])
+                    if a != b:
+                        root[a] = b
+        return any(find(w) == find(v) for w in explored)
+
+    def search(colors, prefix):
+        colors = _dict_refine(g, colors)
+        cells = _dict_cells(g, colors)
         target = next((c for c in cells if len(c) > 1), None)
         if target is None:
             leaves[0] += 1
-            if leaves[0] > budget:
+            if budget is not None and leaves[0] > budget:
                 raise _OverBudget
             position = {cell[0]: i for i, cell in enumerate(cells)}
-            blob = canon._encode(g, position)
+            blob = _dict_encode(g, position)
             if best[0] is None or blob < best[0]:
                 best[0], best[1] = blob, position
+            elif blob == best[0]:
+                at = {i: v for v, i in best[1].items()}
+                autos.append({v: at[i] for v, i in position.items()})
             return
         n_colors = max(colors.values()) + 1
+        explored = []
         for v in target:
+            if prune and explored and same_orbit(v, explored, target, prefix):
+                continue
             branched = dict(colors)
             branched[v] = n_colors
-            search(branched)
+            search(branched, prefix + (v,))
+            explored.append(v)
 
-    search({v: 0 for v in g.vertices})
-    return best[0], best[1]
+    search({v: 0 for v in g.vertices}, ())
+    return best[0], best[1], autos
+
+
+def _unpruned_canonical(g, budget=5000):
+    """The search before automorphism pruning."""
+    blob, position, _ = _dict_search(g, prune=False, budget=budget)
+    return blob, position
 
 
 @st.composite
-def random_multigraphs(draw, max_vertices=9):
+def random_multigraphs(draw, max_vertices=9, min_vertices=0):
     """Loops, parallel edges and isolated vertices all occur."""
-    n = draw(st.integers(0, max_vertices))
+    n = draw(st.integers(min_vertices, max_vertices))
     labels = draw(st.lists(st.integers(-3, 30), min_size=n, max_size=n, unique=True))
     if not labels:
         return MultiGraph((), ())
@@ -172,6 +243,32 @@ def test_pruned_search_matches_unpruned(g):
     assert canon._canonical(g) == expected
 
 
+@st.composite
+def circulants(draw, min_vertices, max_vertices):
+    n = draw(st.integers(min_vertices, max_vertices))
+    steps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=3))
+    return from_pairs([(i, (i + d) % n) for i in range(n) for d in steps], vertices=range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    multigraphs,
+    st.just(MultiGraph((), ())),
+    # ten or more vertices: leaves compare as ASCII bytes, "1,10" < "1,2"
+    random_multigraphs(min_vertices=10, max_vertices=14),
+    circulants(10, 14),
+))
+# loops at colors c and neighbours at c + 1: keyed as c + loop, not 2c + loop,
+# the two would merge and this graph's ranks change
+@example(from_pairs([(11, 14), (18, 18), (11, 11), (14, 14), (18, 38), (14, 14), (3, 38)],
+                    vertices=[3, 11, 14, 18, 38]))
+def test_compiled_search_matches_the_dict_search(g):
+    blob, position, autos = _dict_search(g)
+    assert canon._canonical(g) == (blob, position)
+    assert g._labeling_cache == tuple(position[v] for v in g.vertices)
+    assert g._automorphism_cache == tuple(tuple(gamma[v] for v in g.vertices) for gamma in autos)
+
+
 @settings(max_examples=100, deadline=None)
 @given(multigraphs, st.randoms(use_true_random=False))
 def test_certificate_invariant_under_relabeling(g, rnd):
@@ -199,9 +296,9 @@ def test_leaf_counts(monkeypatch, build, leaves):
     count = [0]
     encode = canon._encode
 
-    def counting(g, position):
+    def counting(*args):
         count[0] += 1
-        return encode(g, position)
+        return encode(*args)
 
     monkeypatch.setattr(canon, "_encode", counting)
     canonical_form(build())
@@ -357,3 +454,32 @@ def test_fixture_labelings_pinned():
     assert sorted(graphs) == sorted(FIXTURE_LABELINGS)
     for name in graphs:
         assert _sha(sorted(canonical_labeling(fixture(name)).items())) == FIXTURE_LABELINGS[name]
+
+
+# recorded before the search ran on the compiled index form; every orbit
+# pruning reads these generators
+FAMILY_GENERATORS = {
+    "K6": "0825c7568a660cf0a449786d38d100fcecf7ce0d4bac4aea4f7a8c2642c6e60f",
+    "K7": "b97626773e2189ca594579238828e0db8f895b7546f42bbffcc598c17bdf0a8f",
+    "K3311": "d0f4119a3267a77d8060ab2d8dee12252e98d9a6b79bcc05a2e1c2b142f6bb66",
+}
+HEAWOOD_REDUCTION_GENERATORS = "1010c1ae8370e5b49a503fb5eb6f6458fd8aed8fb4d2123be959e72d1938424f"
+
+
+def _generators(graphs):
+    for g in graphs:
+        canonical_form(g)
+    return _sha([g._automorphism_cache for g in graphs])
+
+
+@pytest.mark.parametrize("seed, family", [
+    ("K6", petersen_family), ("K7", heawood_family), ("K3311", k3311_family),
+])
+def test_family_generators_pinned(seed, family):
+    assert _generators([r.graph for r in family().records]) == FAMILY_GENERATORS[seed]
+
+
+def test_heawood_reduction_generators_pinned():
+    reductions = [h for r in heawood_family().records for _, h in one_step_reductions(r.graph)]
+    assert len(reductions) == 245
+    assert _generators(reductions) == HEAWOOD_REDUCTION_GENERATORS
