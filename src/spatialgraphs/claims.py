@@ -5,6 +5,11 @@ carrying counts, witnesses, and per-trial outcomes.  Claims are pure given
 their seed; per-trial seeds are derived arithmetically so parallel runs
 produce identical output.
 
+A claim is declared once, where it is defined: ``@_claim(id, *inputs)``
+registers it in CLAIMS under its id, in `verify list` order, and names the
+catalog fixtures whose certificates its report carries; ``trials=True``
+marks a claim that samples and so takes a trial count.
+
 The sampled checks behind both `verify` and `spatial` are registered once
 in CHECKS and run through run_trials.
 """
@@ -233,9 +238,23 @@ def _failures(check: str, rows: list[dict], label: str = "trial") -> list:
     return [r[label] for r in rows if not holds(r)]
 
 
+# claim id -> claim, in `verify list` order; filled by _claim
+CLAIMS: dict[str, Callable] = {}
+
+
+def _claim(claim_id: str, *inputs: str, trials: bool = False) -> Callable:
+    def register(fn: Callable) -> Callable:
+        fn.inputs, fn.takes_trials = inputs, trials
+        CLAIMS[claim_id] = fn
+        return fn
+
+    return register
+
+
 # -- family claims ---------------------------------------------------------------
 
 
+@_claim("petersen-family", "K6", "PetersenRef")
 def claim_petersen_family(trials, seed, jobs):
     fam = petersen_family()
     names = sorted(r.name for r in fam.records)
@@ -256,6 +275,7 @@ def claim_petersen_family(trials, seed, jobs):
     }
 
 
+@_claim("heawood-family", "K7")
 def claim_heawood_family(trials, seed, jobs):
     fam = heawood_family()
     dy_only = sum(r.dy_only_reachable for r in fam.records)
@@ -271,6 +291,7 @@ def claim_heawood_family(trials, seed, jobs):
     }
 
 
+@_claim("k3311-counts", "K3311")
 def claim_k3311_counts(trials, seed, jobs):
     full = k3311_family()
     dy_only = sum(r.dy_only_reachable for r in full.records)
@@ -282,6 +303,7 @@ def claim_k3311_counts(trials, seed, jobs):
     }
 
 
+@_claim("theorem1-equivalence", "K7")
 def claim_theorem1_equivalence(trials, seed, jobs):
     fam = heawood_family()
     rows = []
@@ -306,6 +328,7 @@ def claim_theorem1_equivalence(trials, seed, jobs):
     return ok, {"rows": rows, "failures": sorted(failures, key=lambda p: (p[1], p[0]))}
 
 
+@_claim("prop24-phi", "K7", "N9")
 def claim_prop24_phi(trials, seed, jobs):
     fam = heawood_family()
     flags = {r.certificate.hex: r.gamma3_empty for r in fam.records}
@@ -335,6 +358,7 @@ def claim_prop24_phi(trials, seed, jobs):
     }
 
 
+@_claim("minor-scripts", "N9", "N'10", "K6")
 def claim_minor_scripts(trials, seed, jobs):
     rows = []
     ok = True
@@ -345,6 +369,7 @@ def claim_minor_scripts(trials, seed, jobs):
     return ok, {"scripts": rows}
 
 
+@_claim("apex-proper-minors", "K7")
 def claim_apex_proper_minors(trials, seed, jobs):
     fam = heawood_family()
     rows = []
@@ -364,6 +389,7 @@ def claim_apex_proper_minors(trials, seed, jobs):
     return ok, {"members": rows}
 
 
+@_claim("c14-identification", "K7", "HeawoodRef")
 def claim_c14_identification(trials, seed, jobs):
     fam = heawood_family()
     big = [r for r in fam.records if r.vertex_count == 14]
@@ -391,6 +417,7 @@ def _knot_oracle_trial(seed: int, i: int) -> tuple[int, int, int, int]:
     return (i, d.crossing_count, gauss, skein)
 
 
+@_claim("invariant-oracle", "Trefoil", "Fig8", "Hopf", trials=True)
 def claim_invariant_oracle(trials, seed, jobs):
     trials = 50 if trials is None else trials
     tre = fixture("Trefoil")
@@ -435,20 +462,25 @@ def _conway_gordon(check, name, scope_key, size, trials, seed, jobs):
     }
 
 
-def claim_conway_gordon_k6(trials, seed, jobs):
-    return _conway_gordon("cg-k6", "K6", "disjoint_pairs", 10, trials, seed, jobs)
-
-
-def claim_conway_gordon_k7(trials, seed, jobs):
-    return _conway_gordon("cg-k7", "K7", "seven_cycles", 360, trials, seed, jobs)
-
-
+# declared before its halves: the order of declaration is `verify list`'s
+@_claim("conway-gordon", "K6", "K7", trials=True)
 def claim_conway_gordon(trials, seed, jobs):
     ok6, ev6 = claim_conway_gordon_k6(trials, seed, jobs)
     ok7, ev7 = claim_conway_gordon_k7(trials, seed, jobs)
     return ok6 and ok7, {"k6": ev6, "k7": ev7}
 
 
+@_claim("conway-gordon-k6", "K6", trials=True)
+def claim_conway_gordon_k6(trials, seed, jobs):
+    return _conway_gordon("cg-k6", "K6", "disjoint_pairs", 10, trials, seed, jobs)
+
+
+@_claim("conway-gordon-k7", "K7", trials=True)
+def claim_conway_gordon_k7(trials, seed, jobs):
+    return _conway_gordon("cg-k7", "K7", "seven_cycles", 360, trials, seed, jobs)
+
+
+@_claim("petersen-lk", "K6", trials=True)
 def claim_petersen_lk(trials, seed, jobs):
     fam = petersen_family()
     members = {}
@@ -481,6 +513,7 @@ def _d4_host_trial(ctx, i: int) -> Optional[int]:
     return alpha(d, quads) if all(v % 2 for v in lks) else None
 
 
+@_claim("d4-lemma", "D4", "N9", trials=True)
 def claim_d4_lemma(trials, seed, jobs):
     run, rows = run_trials("d4-lemma", fixture("D4"), None, None, jobs)
     pairs, quads = run.scope
@@ -513,6 +546,7 @@ def claim_d4_lemma(trials, seed, jobs):
     }
 
 
+@_claim("n9fn-dichotomy", "N9", "N'10", trials=True)
 def claim_n9fn_dichotomy(trials, seed, jobs):
     out = {}
     ok = True
@@ -534,36 +568,12 @@ def claim_n9fn_dichotomy(trials, seed, jobs):
     return ok, out
 
 
-CLAIMS: dict[str, Callable] = {
-    "petersen-family": claim_petersen_family,
-    "heawood-family": claim_heawood_family,
-    "k3311-counts": claim_k3311_counts,
-    "theorem1-equivalence": claim_theorem1_equivalence,
-    "prop24-phi": claim_prop24_phi,
-    "minor-scripts": claim_minor_scripts,
-    "apex-proper-minors": claim_apex_proper_minors,
-    "c14-identification": claim_c14_identification,
-    "invariant-oracle": claim_invariant_oracle,
-    "conway-gordon": claim_conway_gordon,
-    "conway-gordon-k6": claim_conway_gordon_k6,
-    "conway-gordon-k7": claim_conway_gordon_k7,
-    "petersen-lk": claim_petersen_lk,
-    "d4-lemma": claim_d4_lemma,
-    "n9fn-dichotomy": claim_n9fn_dichotomy,
-}
-# the claims that sample and so take a trial count; the rest run none
-TRIAL_CLAIMS = frozenset({
-    "invariant-oracle", "conway-gordon", "conway-gordon-k6", "conway-gordon-k7",
-    "petersen-lk", "d4-lemma", "n9fn-dichotomy",
-})
-
-
 def run_claim(claim_id: str, trials: Optional[int] = None, seed: int = 0, jobs: int = 1):
     try:
         fn = CLAIMS[claim_id]
     except KeyError:
         raise GraphError(f"unknown claim {claim_id!r}") from None
-    if trials is not None and claim_id not in TRIAL_CLAIMS:
+    if trials is not None and not fn.takes_trials:
         raise GraphError(f"claim {claim_id!r} runs no trials; it takes no --trials")
     _require_counts(trials, jobs)
     return fn(trials, seed, jobs)

@@ -22,25 +22,8 @@ from .exchange import closure, write_manifest
 from .invariants import GaussLink, format_gauss
 from .multigraph import GraphError, parse_edge_list
 
-_FAMILY_SEEDS = ("K6", "K7", "K3311")
-
-_CLAIM_INPUTS = {
-    "petersen-family": ("K6", "PetersenRef"),
-    "heawood-family": ("K7",),
-    "k3311-counts": ("K3311",),
-    "theorem1-equivalence": ("K7",),
-    "prop24-phi": ("K7", "N9"),
-    "minor-scripts": ("N9", "N'10", "K6"),
-    "apex-proper-minors": ("K7",),
-    "c14-identification": ("K7", "HeawoodRef"),
-    "invariant-oracle": ("Trefoil", "Fig8", "Hopf"),
-    "conway-gordon": ("K6", "K7"),
-    "conway-gordon-k6": ("K6",),
-    "conway-gordon-k7": ("K7",),
-    "petersen-lk": ("K6",),
-    "d4-lemma": ("D4", "N9"),
-    "n9fn-dichotomy": ("N9", "N'10"),
-}
+# catalog families by seed, for `families` with both moves
+_FAMILIES = {"K6": petersen_family, "K7": heawood_family, "K3311": k3311_family}
 
 
 def _input_hash(name: str) -> str:
@@ -96,8 +79,12 @@ def _load_graph(token: str):
         if isinstance(g, GaussLink):
             raise GraphError(f"{token} is a Gauss code fixture, not a graph")
         return g
-    with open(token) as fh:
-        return parse_edge_list(fh.read())
+    with open(token, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise GraphError(f"{token}: not a UTF-8 text file") from None
+    return parse_edge_list(text)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -141,12 +128,8 @@ def _render(node, depth: int) -> None:
 
 def cmd_families(args) -> int:
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
-    if args.seed in _FAMILY_SEEDS and set(moves) == {"dy", "yd"}:
-        result = {
-            "K6": petersen_family,
-            "K7": heawood_family,
-            "K3311": k3311_family,
-        }[args.seed]()
+    if args.seed in _FAMILIES and set(moves) == {"dy", "yd"}:
+        result = _FAMILIES[args.seed]()
     else:
         result = closure(_load_graph(args.seed), moves)
     members = [
@@ -190,9 +173,6 @@ def cmd_verify(args) -> int:
         for cid in CLAIMS:
             print(cid)
         return 0
-    if args.claim not in CLAIMS:
-        print(f"error: unknown claim {args.claim!r}", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     start = time.monotonic()
     ok, evidence = run_claim(args.claim, trials=args.trials, seed=seed, jobs=args.jobs)
@@ -205,9 +185,7 @@ def cmd_verify(args) -> int:
         "elapsed_s": round(time.monotonic() - start, 3),
         "version": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
-        "inputs": {
-            name: _input_hash(name) for name in _CLAIM_INPUTS.get(args.claim, ())
-        },
+        "inputs": {name: _input_hash(name) for name in CLAIMS[args.claim].inputs},
         "evidence": evidence,
     }
     _emit(report, args.format)

@@ -14,7 +14,7 @@ history, so callers can lift cycles through it or validate it independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
 from .cycles import MinorModel
@@ -189,21 +189,17 @@ def _build_model(g: MultiGraph, h: MultiGraph, found) -> MinorModel:
     return MinorModel(g, h, branch_sets, edge_map)
 
 
-def one_step_reductions(g: MultiGraph) -> list[tuple[str, MultiGraph]]:
+def one_step_reductions(g: MultiGraph) -> list[tuple[str, int, str, MultiGraph]]:
     """All single-edge deletions, single-edge contractions (simplified) and
-    single-vertex deletions, deduplicated by certificate.
+    single-vertex deletions, deduplicated by certificate, as (kind, removed
+    edge id or vertex, label, graph); kind is "delete edge", "contract
+    edge" or "delete vertex".
 
     Only the first edge or vertex of each automorphism orbit is reduced: the
     others give graphs isomorphic to its own, which come later and which
     the deduplication would drop.  So the labels are those of reducing
     every edge and vertex.
     """
-    return [(label, graph) for _, _, label, graph in _reductions(g)]
-
-
-def _reductions(g: MultiGraph) -> Iterator[tuple[str, int, str, MultiGraph]]:
-    """``one_step_reductions`` as (kind, removed edge id or vertex, label,
-    graph), kind being "delete edge", "contract edge" or "delete vertex"."""
     firsts = {ids[0] for ids in edge_orbits(g)}
     edges = [e for e in g.edges if e[0] in firsts]
 
@@ -218,11 +214,13 @@ def _reductions(g: MultiGraph) -> Iterator[tuple[str, int, str, MultiGraph]]:
             yield "delete vertex", orbit[0], f"delete vertex {orbit[0]}", delete_vertex(g, orbit[0])
 
     seen: set[bytes] = set()
+    reductions = []
     for reduction in candidates():
         cert = canonical_form(reduction[3]).blob
         if cert not in seen:
             seen.add(cert)
-            yield reduction
+            reductions.append(reduction)
+    return reductions
 
 
 @dataclass

@@ -378,6 +378,13 @@ def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
 #   # comment
 
 
+def _label(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"line {lineno}: vertex label {token!r} is not an integer") from None
+
+
 def parse_edge_list(text: str) -> MultiGraph:
     n_declared = None
     pairs: list[tuple[int, int]] = []
@@ -399,11 +406,11 @@ def parse_edge_list(text: str) -> MultiGraph:
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphError(f"line {lineno}: expected 'vertex <u>'")
-            extra.append(int(parts[1]))
+            extra.append(_label(parts[1], lineno))
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((_label(parts[0], lineno), _label(parts[1], lineno)))
     if n_declared is None:
         raise GraphError("missing 'vertices <n>' header")
     g = from_pairs(pairs, vertices=extra)

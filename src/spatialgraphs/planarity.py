@@ -29,7 +29,7 @@ from typing import Optional
 import networkx as nx
 
 from .canon import _set_orbit, automorphisms, edge_orbits
-from .minors import _reductions
+from .minors import one_step_reductions
 from .multigraph import MultiGraph
 
 
@@ -141,7 +141,7 @@ def all_proper_minors_2apex(g: MultiGraph) -> tuple[Optional[frozenset[int]], li
     first = {e: ids[0] for ids in edge_orbits(g) for e in ids}
     two_apex_edges: set[int] = set()  # first edges of orbits whose deletion is 2-apex
     failures = []
-    for kind, item, label, graph in _reductions(g):
+    for kind, item, label, graph in one_step_reductions(g):
         ends: frozenset[int] = frozenset()
         if kind == "delete vertex":
             if any(first[e] in two_apex_edges for e, _ in g.incident(item)):

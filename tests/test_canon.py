@@ -480,6 +480,6 @@ def test_family_generators_pinned(seed, family):
 
 
 def test_heawood_reduction_generators_pinned():
-    reductions = [h for r in heawood_family().records for _, h in one_step_reductions(r.graph)]
+    reductions = [h for r in heawood_family().records for *_, h in one_step_reductions(r.graph)]
     assert len(reductions) == 245
     assert _generators(reductions) == HEAWOOD_REDUCTION_GENERATORS

@@ -10,7 +10,7 @@ import pytest
 
 import spatialgraphs
 from spatialgraphs import claims, cli
-from spatialgraphs.catalog import fixture
+from spatialgraphs.catalog import fixture, fixture_names
 from spatialgraphs.multigraph import complete_graph, format_edge_list, parse_edge_list
 
 
@@ -79,13 +79,37 @@ def test_manifest_moves_are_the_kinds_run_in_order(capsys, tmp_path):
         assert json.loads((out_dir / "manifest.json").read_text())["moves"] == ["dy", "yd"]
 
 
+# claim id -> the fixtures whose certificates its report carries, in
+# `verify list` order
+CLAIM_INPUTS = {
+    "petersen-family": ("K6", "PetersenRef"),
+    "heawood-family": ("K7",),
+    "k3311-counts": ("K3311",),
+    "theorem1-equivalence": ("K7",),
+    "prop24-phi": ("K7", "N9"),
+    "minor-scripts": ("N9", "N'10", "K6"),
+    "apex-proper-minors": ("K7",),
+    "c14-identification": ("K7", "HeawoodRef"),
+    "invariant-oracle": ("Trefoil", "Fig8", "Hopf"),
+    "conway-gordon": ("K6", "K7"),
+    "conway-gordon-k6": ("K6",),
+    "conway-gordon-k7": ("K7",),
+    "petersen-lk": ("K6",),
+    "d4-lemma": ("D4", "N9"),
+    "n9fn-dichotomy": ("N9", "N'10"),
+}
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "list")
     assert code == 0
-    ids = out.split()
-    assert "petersen-family" in ids
-    assert "n9fn-dichotomy" in ids
-    assert len(ids) == 15
+    assert out == "".join(f"{cid}\n" for cid in CLAIM_INPUTS)
+
+
+def test_claim_inputs_are_declared_fixtures():
+    assert {cid: fn.inputs for cid, fn in claims.CLAIMS.items()} == CLAIM_INPUTS
+    names = set(fixture_names())
+    assert all(set(inputs) <= names for inputs in CLAIM_INPUTS.values())
 
 
 def test_verify_pass_and_report(capsys):
@@ -307,7 +331,8 @@ NO_TRIAL_CLAIMS = ("petersen-family", "heawood-family", "k3311-counts", "theorem
 
 
 def test_trial_claims_are_the_sampling_claims():
-    assert claims.TRIAL_CLAIMS == set(claims.CLAIMS) - set(NO_TRIAL_CLAIMS)
+    trial_claims = {cid for cid, fn in claims.CLAIMS.items() if fn.takes_trials}
+    assert trial_claims == set(claims.CLAIMS) - set(NO_TRIAL_CLAIMS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,6 +376,31 @@ def test_bad_knot_seed_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "KNOT_SEED" in err
+
+
+def test_unknown_claim_with_bad_knot_seed_exits_2(capsys, monkeypatch):
+    # the seed is read before the claim is looked up, so its error wins
+    monkeypatch.setenv("KNOT_SEED", "abc")
+    code, out, err = run(capsys, "verify", "petersen-families")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "KNOT_SEED" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"vertices 2\n1 x\n", "line 2: vertex label 'x' is not an integer"),
+    (b"vertices 1\nvertex y\n", "line 2: vertex label 'y' is not an integer"),
+    (b"vertices 2\n0 1 # \xff\n", "not a UTF-8 text file"),
+], ids=["edge", "vertex", "not-utf8"])
+@pytest.mark.parametrize("command", [
+    ["families", "--seed"],
+    ["spatial", "--check", "cg-k6", "--graph"],
+], ids=["families", "spatial"])
+def test_bad_edge_list_file_exits_2(capsys, tmp_path, content, message, command):
+    graph = tmp_path / "bad.edges"
+    graph.write_bytes(content)
+    code, out, err = run(capsys, *command, str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_graph_file_exits_2(capsys, tmp_path):

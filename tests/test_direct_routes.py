@@ -154,9 +154,8 @@ def test_simplify_matches_simplified_rebuild(g):
 @settings(max_examples=100, deadline=None)
 @given(small_multigraphs())
 def test_reduction_contractions_match_simplified_contract_edge(g):
-    for label, graph in one_step_reductions(g):
-        if label.startswith("contract edge"):
-            eid = int(label.rsplit("id ", 1)[1].rstrip(")"))
+    for kind, eid, _, graph in one_step_reductions(g):
+        if kind == "contract edge":
             assert graph == simplify(contract_edge(g, eid))
 
 

@@ -37,8 +37,8 @@ def pairs(host, table):
 def test_one_step_reductions_dedup_by_class():
     rows = one_step_reductions(complete_graph(4))
     # edge deletion is one class; contraction and vertex deletion both give K3
-    assert len(rows) == 2
-    shapes = sorted((g.vertex_count, g.edge_count) for _, g in rows)
+    assert [kind for kind, *_ in rows] == ["delete edge", "contract edge"]
+    shapes = sorted((g.vertex_count, g.edge_count) for *_, g in rows)
     assert shapes == [(3, 3), (4, 5)]
 
 

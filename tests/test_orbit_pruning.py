@@ -115,9 +115,16 @@ def apex_multigraphs(draw, pieces=st.lists(st.sampled_from([K5, K33, K6]), min_s
 
 def _same_reductions(g):
     new, old = one_step_reductions(g), _old_one_step_reductions(g)
-    assert [label for label, _ in new] == [label for label, _ in old]
-    assert [canonical_form(h) for _, h in new] == [canonical_form(h) for _, h in old]
-    assert [h for _, h in new] == [h for _, h in old]
+    assert [label for _, _, label, _ in new] == [label for label, _ in old]
+    assert [canonical_form(h) for *_, h in new] == [canonical_form(h) for _, h in old]
+    assert [h for *_, h in new] == [h for _, h in old]
+    # the kind and the removed edge or vertex are the ones the label names
+    for kind, item, label, _ in new:
+        if kind == "delete vertex":
+            assert label == f"delete vertex {item}"
+        else:
+            u, v = g.endpoints(item)
+            assert label == f"{kind} {u}-{v} (id {item})"
 
 
 @settings(max_examples=20, deadline=None)
