@@ -1,11 +1,26 @@
 """Planarity and small apex numbers.
 
-The planarity verdict comes from networkx's left-right test, but every
-positive answer is certified in-process: the returned combinatorial
-embedding must satisfy the Euler relation V - E + F = 1 + C, which is
-checked by walking all faces.  The test suite cross-validates the verdict
-against an independent K5/K3,3 minor search, so the two routes keep each
-other honest.
+``is_planar(g, removed)`` decides g - S on its kernel: loops and parallel
+edges dropped, vertices of degree at most 1 deleted until none is left,
+and each vertex of degree 2 suppressed (its two neighbours joined, a
+parallel edge so made merged away).  Each step keeps planarity both ways,
+so the kernel is planar exactly when g - S is.  Every kernel vertex has
+degree at least 3, and the answer comes from the first of these that
+applies:
+
+- at most 4 vertices, or 5 vertices and fewer than 10 edges: planar, as
+  a subgraph of K4 or of K5 - e;
+- e > 3v - 6: non-planar, by Euler's formula (a simple planar graph on
+  v >= 3 vertices has at most 3v - 6 edges);
+- no triangle and e > 2v - 4: non-planar, by Euler's formula with every
+  face of length at least 4;
+- otherwise networkx's left-right test on the kernel.  A positive answer
+  is certified in-process: the returned combinatorial embedding must
+  satisfy V - E + F = 2C on the kernel, checked by walking all faces.  A
+  negative answer is networkx's alone.
+
+The test suite cross-validates the verdict against an independent
+K5/K3,3 minor search, so the two routes keep each other honest.
 
 A graph g that is not k-apex settles some planarity questions about its
 one-step reductions h.  g - T is non-planar for every vertex set T with
@@ -30,7 +45,7 @@ import networkx as nx
 
 from .canon import _set_orbit, automorphisms, edge_orbits
 from .minors import one_step_reductions
-from .multigraph import MultiGraph
+from .multigraph import GraphError, MultiGraph, UnknownVertexError
 
 
 def _face_count(embedding: "nx.PlanarEmbedding") -> int:
@@ -48,31 +63,62 @@ def _face_count(embedding: "nx.PlanarEmbedding") -> int:
     return faces
 
 
-def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
-    """Planarity of g less the vertices in removed.
+def _kernel(g: MultiGraph, removed: frozenset[int]) -> dict[int, set[int]]:
+    """Adjacency sets of the kernel of g less the vertices in removed
+    (see the module docstring); every vertex left has degree >= 3."""
+    adj = {v: set() for v in g.vertices if v not in removed}
+    for _, u, v in g.edges:
+        if u != v and u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    low = [v for v, ns in adj.items() if len(ns) <= 2]
+    while low:
+        v = low.pop()
+        ns = adj.pop(v, None)
+        if ns is None:
+            continue  # queued twice; no step raises a degree
+        for w in ns:
+            adj[w].discard(v)
+        if len(ns) == 2:
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+        low.extend(w for w in ns if len(adj[w]) <= 2)
+    return adj
 
-    Loops and parallel edges never matter: loops are skipped and nx.Graph
-    merges each parallel class into one edge.
+
+def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
+    """Planarity of g less the vertices in removed, decided on the kernel.
+
+    Certified by theorem without networkx: planar when the kernel has at
+    most 4 vertices, or 5 and fewer than 10 edges (a subgraph of K4 or of
+    K5 - e); non-planar when e > 3v - 6 (Euler), or when the kernel has no
+    triangle and e > 2v - 4 (Euler, girth 4).  What these leave goes to
+    networkx, whose positive answers are certified by the Euler face
+    count of the embedding on the kernel; its negatives are not
+    certified.  Raises ``UnknownVertexError`` for a label of removed that
+    is not a vertex of g.
     """
-    ng = nx.Graph()
-    ng.add_nodes_from(v for v in g.vertices if v not in removed)
-    ng.add_edges_from((u, v) for _, u, v in g.edges
-                      if u != v and u not in removed and v not in removed)
-    ok, embedding = nx.check_planarity(ng)
-    if not ok:
-        return False
-    if ng.number_of_edges() == 0:
+    for x in removed:
+        if not g.has_vertex(x):
+            raise UnknownVertexError(f"no vertex {x}")
+    adj = _kernel(g, removed)
+    v = len(adj)
+    e = sum(map(len, adj.values())) // 2
+    if v <= 4 or (v == 5 and e < 10):
         return True
-    # certify the embedding before trusting it: every edge-bearing component
-    # must satisfy V - E + F = 2, with faces counted off the rotation system
-    isolated = sum(1 for n in ng.nodes if ng.degree(n) == 0)
-    v = ng.number_of_nodes() - isolated
-    e = ng.number_of_edges()
-    comps = nx.number_connected_components(ng) - isolated
-    faces = _face_count(embedding)
-    if v - e + faces != 2 * comps:
+    if e > 3 * v - 6:
+        return False
+    edges = [(a, b) for a, ns in adj.items() for b in ns if a < b]
+    if e > 2 * v - 4 and all(adj[a].isdisjoint(adj[b]) for a, b in edges):
+        return False
+    ng = nx.Graph(edges)
+    ok, embedding = nx.check_planarity(ng)
+    # certify the embedding before trusting it: every component must
+    # satisfy V - E + F = 2, with faces counted off the rotation system
+    if ok and v - e + _face_count(embedding) != 2 * nx.number_connected_components(ng):
         raise AssertionError("planar embedding failed the Euler check")
-    return True
+    return ok
 
 
 def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
@@ -82,8 +128,11 @@ def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
     distinct neighbours.  A set in the orbit of one already found non-planar
     under g's automorphisms is skipped, as an automorphism carries the one
     graph onto the other.  The first planar set is never skipped, so the
-    witness is the one trying every set would give.
+    witness is the one trying every set would give.  Raises ``GraphError``
+    for k < 0.
     """
+    if k < 0:
+        raise GraphError(f"k must be at least 0, got {k}")
     return _apex_search(g, k)
 
 

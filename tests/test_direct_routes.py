@@ -1,6 +1,6 @@
-"""Planarity of G − S, the triangle exchange and the simplified
-reductions, built straight from G's edge list, against the routes they
-replaced.
+"""Planarity of G − S decided on its kernel, the triangle exchange and the
+simplified reductions, built straight from G's edge list, against the
+routes they replaced.
 
 The oracles below are copies of those routes: planarity asked of
 simplify(G) with the vertices of S deleted one by one, apex candidates
@@ -31,6 +31,10 @@ from spatialgraphs.planarity import apex_witness, is_planar
 K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 K6_LESS_ONE = [(a, b) for a in range(6) for b in range(a + 1, 6)][1:]
+K4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+CUBE = [(a, a ^ 1 << k) for a in range(8) for k in range(3) if a < a ^ 1 << k]
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [
+    (5 + i, 5 + (i + 2) % 5) for i in range(5)]
 
 
 @st.composite
@@ -48,6 +52,37 @@ def small_multigraphs(draw):
     labels = draw(st.permutations(range(10, 10 + n)))
     pairs = [(labels[u], labels[v]) for u, v in core + extra]
     return from_pairs(pairs, vertices=labels)
+
+
+@st.composite
+def kernel_multigraphs(draw):
+    """A core (K4, K5, K5 - e, K3,3, K6 less an edge, the cube or Petersen)
+    with each edge replaced by a chain of up to two degree-2 vertices,
+    pendant trees hung on it, and a few extra edges, loops and parallel
+    edges added; the labels are shuffled.
+
+    The kernel is the core with its extra edges, so every rule of
+    ``is_planar`` is met: planar by size (K4, K5 - e), non-planar by
+    3v - 6 (K5, K6 less an edge) and by the triangle-free bound (K3,3),
+    and networkx both ways (the cube, Petersen, K3,3 with an edge added).
+    """
+    core = draw(st.sampled_from([K4, K5, K5[1:], K33, K6_LESS_ONE, CUBE, PETERSEN]))
+    n = 1 + max(map(max, core))
+    pairs = []
+    for u, v in core:
+        inner = draw(st.integers(0, 2))
+        chain = [u, *range(n, n + inner), v]
+        n += inner
+        pairs += zip(chain, chain[1:])
+    for _ in range(draw(st.integers(0, 4))):
+        pairs.append((draw(st.integers(0, n - 1)), n))  # a leaf on any older vertex
+        n += 1
+    ends = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    pairs += [(v, v) for v in draw(st.lists(ends, max_size=2))]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    labels = draw(st.permutations(range(10, 10 + n)))
+    return from_pairs([(labels[u], labels[v]) for u, v in pairs], vertices=labels)
 
 
 def _old_is_planar(g: MultiGraph, removed=frozenset()) -> bool:
@@ -122,6 +157,13 @@ def _old_y_delta(g: MultiGraph, x: int) -> MultiGraph:
 @given(small_multigraphs(), st.data())
 def test_is_planar_less_a_vertex_set_matches_simplify_then_delete(g, data):
     removed = frozenset(data.draw(st.sets(st.sampled_from(g.vertices)))) if g.vertices else frozenset()
+    assert is_planar(g, removed) == _old_is_planar(g, removed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_multigraphs(), st.data())
+def test_is_planar_on_the_kernel_matches_simplify_then_delete(g, data):
+    removed = frozenset(data.draw(st.sets(st.sampled_from(g.vertices), max_size=2)))
     assert is_planar(g, removed) == _old_is_planar(g, removed)
 
 

@@ -11,6 +11,7 @@ canonicalised, and the cycle map built for every triangle.
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,9 +233,14 @@ def test_proper_minor_check_of_two_apex_graphs_settles_nothing(g):
 def test_apex_proper_minors_work_is_pinned(monkeypatch):
     """The claim's planarity tests and canonical searches over the Heawood
     family; a lost orbit pruning raises them (4,340 and 1,050 without), and
-    testing the sets each member settles in its reductions takes 1,914."""
+    testing the sets each member settles in its reductions takes 1,914.
+    Of the 541 planarity tests, 295 are decided on the kernel by a size or
+    edge-count bound and 246 go to networkx (all 541 without the bounds)."""
     heawood_family()  # built and canonicalised outside the count
     counts = {"is_planar": 0, "_canonical": 0}
+    nx_calls = []
+    check = nx.check_planarity
+    monkeypatch.setattr(nx, "check_planarity", lambda *args: nx_calls.append(args) or check(*args))
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -250,6 +256,7 @@ def test_apex_proper_minors_work_is_pinned(monkeypatch):
     ok, evidence = claim_apex_proper_minors(None, 0, 1)
     assert ok and len(evidence["members"]) == 20
     assert counts == {"is_planar": 541, "_canonical": 248}
+    assert len(nx_calls) == 246
 
 
 # -- the exchange closure and the cycle map, one member per orbit ---------------
