@@ -14,16 +14,16 @@ from spatialgraphs.minors import verify_minor_script
 
 for src, tgt, script in reduction_scripts(primary_only=True):
     host = fixture(src)
-    chk = verify_minor_script(host, script, family_member(tgt))
+    model = verify_minor_script(host, script, family_member(tgt))
     steps = len(script.steps)
-    print(f"{src:5s} -> {tgt:4s}  {steps} steps  ok={chk.ok}")
+    print(f"{src:5s} -> {tgt:4s}  {steps} steps  ok={model is not None}")
 
 # lift the disjoint cycle pairs of one target up into its host
 src, tgt, script = reduction_scripts()[1]
 host = fixture(src)
-chk = verify_minor_script(host, script, family_member(tgt))
-pairs = disjoint_cycle_tuples(chk.model.pattern, 2)
-lifted = lift_cycles(chk.model, pairs)
+model = verify_minor_script(host, script, family_member(tgt))
+pairs = disjoint_cycle_tuples(model.pattern, 2)
+lifted = lift_cycles(model, pairs)
 print()
 print(f"disjoint pairs of {tgt} seen inside {src}:")
 for image in sorted(

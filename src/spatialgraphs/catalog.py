@@ -16,10 +16,8 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-import networkx as nx
-
 from .canon import canonical_form
-from .cycles import MinorModel
+from .cycles import MinorModel, all_cycles
 from .diagrams import SpatialDiagram
 from .exchange import ClosureResult, closure
 from .invariants import GaussLink, parse_gauss
@@ -202,7 +200,8 @@ def _petersen_names(result: ClosureResult) -> _Names:
         else:
             names[rec.certificate.hex] = ("Y7", True)
     for rec in groups[8]:
-        bipartite = nx.is_bipartite(nx.Graph([(u, v) for _, u, v in rec.graph.edges]))
+        # bipartite: every cycle even (a loop is odd, a parallel pair even)
+        bipartite = all(len(c) % 2 == 0 for c in all_cycles(rec.graph))
         names[rec.certificate.hex] = ("K44me" if bipartite else "P8", False)
     names[groups[9][0].certificate.hex] = ("P9", False)
     names[groups[10][0].certificate.hex] = ("P10", False)
@@ -354,13 +353,8 @@ def reduction_scripts(primary_only: bool = False):
     return [(s, t, sc) for s, t, sc in rows]
 
 
-# P7 is the complete tripartite graph on parts 3+3+1, so both names are fair
-_MEMBER_ALIASES = {"K331": "P7"}
-
-
 def family_member(name: str) -> MultiGraph:
     """A named member of the exchange families (petersen names first)."""
-    name = _MEMBER_ALIASES.get(name, name)
     for fam in (petersen_family(), heawood_family()):
         for rec in fam.records:
             if rec.name == name:

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .multigraph import MultiGraph, GraphError
+from .multigraph import MultiGraph, GraphError, UnknownVertexError
 
 Cycle = frozenset[int]
 CycleTuple = tuple[Cycle, ...]
@@ -288,9 +288,10 @@ def gamma3_empty(g: MultiGraph) -> bool:
 @dataclass(frozen=True)
 class MinorModel:
     """Branch sets + edge injection witnessing ``pattern`` as a minor of
-    ``host``.  ``branch_sets`` maps pattern vertices to disjoint connected
-    host vertex sets; ``edge_map`` injects pattern edge ids into host edge
-    ids joining the corresponding branch sets."""
+    ``host``.  ``branch_sets`` maps every pattern vertex to a connected host
+    vertex set, the sets disjoint; ``edge_map`` injects every pattern edge
+    id into a host edge joining the corresponding branch sets.  ``validate``
+    checks exactly this."""
 
     host: MultiGraph
     pattern: MultiGraph
@@ -298,6 +299,10 @@ class MinorModel:
     edge_map: Mapping[int, int]
 
     def validate(self) -> None:
+        if set(self.branch_sets) != set(self.pattern.vertices):
+            raise GraphError("branch sets are not one per pattern vertex")
+        if set(self.edge_map) != set(self.pattern.edge_ids()):
+            raise GraphError("edge map is not one image per pattern edge")
         seen: set[int] = set()
         for pv, bs in self.branch_sets.items():
             if not bs:
@@ -305,7 +310,10 @@ class MinorModel:
             if seen & bs:
                 raise GraphError("branch sets overlap")
             seen |= bs
-            if not _connected_in(self.host, bs):
+            missing = bs.difference(self.host.vertices)
+            if missing:
+                raise UnknownVertexError(f"no vertex {min(missing)}")
+            if len(_branch_tree(self.host, bs, min(bs))) != len(bs):
                 raise GraphError(f"branch set of {pv} is not connected")
         if len(set(self.edge_map.values())) != len(self.edge_map):
             raise GraphError("edge map is not injective")
@@ -322,44 +330,31 @@ class MinorModel:
                 raise GraphError(f"edge image {heid} joins the wrong branch sets")
 
 
-def _connected_in(g: MultiGraph, vs: frozenset[int]) -> bool:
-    start = min(vs)
-    seen = {start}
-    frontier = [start]
-    while frontier:
+def _branch_tree(
+    g: MultiGraph, inside: frozenset[int], a: int, b: Optional[int] = None
+) -> dict[int, int]:
+    """Shortest-path tree from a within an induced branch set: each reached
+    vertex maps to its smallest neighbour one step closer to a, and a to
+    itself, so lifted cycles do not depend on dict ordering.  The BFS stops
+    at the layer that reaches b, or covers the component of a.
+    """
+    parent = {a: a}
+    frontier = [a]
+    while frontier and b not in parent:
         nxt = []
-        for x in frontier:
+        for x in sorted(frontier):
             for _, w in g.incident(x):
-                if w in vs and w not in seen:
-                    seen.add(w)
+                if w in inside and w not in parent:
+                    parent[w] = x
                     nxt.append(w)
         frontier = nxt
-    return seen == set(vs)
+    return parent
 
 
 def _branch_path(g: MultiGraph, inside: frozenset[int], a: int, b: int) -> list[int]:
-    """Deterministic shortest path within an induced branch set.
-
-    BFS layer by layer; among equally short predecessors the smallest vertex
-    label wins, so lifted cycles do not depend on dict ordering.
-    """
-    if a == b:
-        return []
-    dist = {a: 0}
-    parent: dict[int, int] = {}
-    frontier = [a]
-    while frontier and b not in dist:
-        nxt = []
-        for x in sorted(frontier):
-            for w in sorted({w for _, w in g.incident(x) if w in inside and w != x}):
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    parent[w] = x
-                    nxt.append(w)
-                elif dist[w] == dist[x] + 1 and parent.get(w, x) > x:
-                    parent[w] = x
-        frontier = nxt
-    if b not in dist:
+    """The edges of ``_branch_tree``'s path from a to b."""
+    parent = _branch_tree(g, inside, a, b)
+    if b not in parent:
         raise GraphError(f"branch set has no path {a} -> {b}")
     path = [b]
     while path[-1] != a:

@@ -7,29 +7,31 @@ form; intermediate graphs are normalized so parallel multiplicities never
 exceed what the pattern could use, which keeps the state space finite for
 multigraph patterns such as the doubled square.
 
-A successful search returns a ``MinorModel`` assembled from the contraction
-history, so callers can lift cycles through it or validate it independently.
+``verify_minor_script`` replays a hand-written reduction script instead of
+searching.  Both routines reach a model by one path: the reduced graph is
+built from an edge list by ``_normalize``, matched to the pattern by
+isomorphism, and ``_model`` hands out the pattern edges, assembles the
+``MinorModel`` and validates it, so callers can lift cycles through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
 from .cycles import MinorModel
 from .multigraph import (
+    Edge,
     GraphError,
     MultiGraph,
     ReductionScript,
     _contraction,
     _simple_graph,
     apply_script,
-    contract_edge,
     delete_edge,
     delete_vertex,
     simplify,
-    without_isolated,
 )
 
 
@@ -44,15 +46,17 @@ def _multiplicity_caps(h: MultiGraph) -> tuple[int, int]:
     return par_cap, loop_cap
 
 
-def _normalize(g: MultiGraph, par_cap: int, loop_cap: int) -> MultiGraph:
-    """Trim parallel classes/loops beyond what the pattern can use, and drop
-    isolated vertices."""
+def _normalize(edges: Iterable[Edge], par_cap: int, loop_cap: int) -> MultiGraph:
+    """The graph of an edge list with each parallel class trimmed to its
+    smallest ids (at most loop_cap loops, par_cap edges otherwise) and no
+    isolated vertices, in one construction."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for eid, u, v in edges:
+        classes.setdefault((u, v) if u < v else (v, u), []).append(eid)
     kept = []
-    for (u, v), ids in sorted(g.parallel_classes().items()):
-        cap = loop_cap if u == v else par_cap
-        for eid in sorted(ids)[:cap]:
-            kept.append((eid, u, v))
-    return without_isolated(MultiGraph(g.vertices, kept))
+    for (u, v), ids in classes.items():
+        kept += [(eid, u, v) for eid in sorted(ids)[:loop_cap if u == v else par_cap]]
+    return MultiGraph({x for _, u, v in kept for x in (u, v)}, kept)
 
 
 def _degree_dominates(g: MultiGraph, h: MultiGraph) -> bool:
@@ -86,7 +90,7 @@ def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     if any(not h.incident(v) for v in h.vertices):
         raise GraphError("patterns with isolated vertices are not supported")
     par_cap, loop_cap = _multiplicity_caps(h)
-    start = _normalize(g, par_cap, loop_cap)
+    start = _normalize(g.edges, par_cap, loop_cap)
     init = _State(start, {v: frozenset([v]) for v in start.vertices})
     seen: set[bytes] = set()
     budget = [_MAX_STATES]
@@ -102,8 +106,10 @@ def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
         ) from None
     if found is None:
         return None
-    model = _build_model(g, h, found)
-    model.validate()
+    state, witness = found
+    model = _model(g, h, state.graph, witness, state.merged)
+    if model is None:
+        raise GraphError("internal error: missing parallel copies in reduced graph")
     return model
 
 
@@ -136,20 +142,18 @@ def _search(
     budget[0] -= 1
 
     children: list[_State] = []
-    can_contract = g.vertex_count > nh
     for eid, u, v in g.edges:
-        if can_contract and u != v:
-            child = contract_edge(g, eid, keep=min(u, v))
-            child = _normalize(child, par_cap, loop_cap)
-            merged = dict(state.merged)
-            keep, drop = min(u, v), max(u, v)
-            merged[keep] = merged[keep] | merged[drop]
-            del merged[drop]
-            merged = {v2: s for v2, s in merged.items() if child.has_vertex(v2)}
-            children.append(_State(child, merged))
+        # (edge list, vertex merged into u): contracting keeps u, as u < v
+        moves = []
+        if g.vertex_count > nh and u != v:
+            moves.append((_contraction(g, eid, u)[1], v))
         if g.edge_count > mh:
-            child = _normalize(delete_edge(g, eid), par_cap, loop_cap)
-            merged = {v2: s for v2, s in state.merged.items() if child.has_vertex(v2)}
+            moves.append(([e for e in g.edges if e[0] != eid], None))
+        for edges, drop in moves:
+            child = _normalize(edges, par_cap, loop_cap)
+            merged = {w: s for w, s in state.merged.items() if child.has_vertex(w)}
+            if drop is not None and u in merged:
+                merged[u] = merged[u] | state.merged[drop]
             children.append(_State(child, merged))
 
     for child in children:
@@ -159,34 +163,30 @@ def _search(
     return None
 
 
-def _hand_out_edges(
-    h: MultiGraph, reduced: MultiGraph, witness: dict[int, int]
-) -> Optional[dict[int, int]]:
-    """Pattern edge -> surviving host edge (ids are original ids).
+def _model(
+    host: MultiGraph,
+    pattern: MultiGraph,
+    reduced: MultiGraph,
+    witness: dict[int, int],
+    merged: dict[int, frozenset[int]],
+) -> Optional[MinorModel]:
+    """The validated model of pattern in host read off a reduced minor of
+    host; None when reduced has too few parallel copies for it.
 
-    The pattern edges of each endpoint pair take, in id order, the smallest
-    edges of reduced between the pair's witnessed images; None when a pair
-    has too few of them.
+    witness maps pattern vertices to vertices of reduced, and merged maps
+    those to the host vertices merged into them.  The pattern edges of each
+    endpoint pair take, in id order, the smallest edges of reduced between
+    the pair's images (ids are the host's).
     """
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for eid, u, v in h.edges:
-        by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
     edge_map: dict[int, int] = {}
-    for (hu, hv), pattern_ids in sorted(by_pair.items()):
-        avail = sorted(reduced.edges_between(witness[hu], witness[hv]))
-        if len(avail) < len(pattern_ids):
+    for (pu, pv), ids in sorted(pattern.parallel_classes().items()):
+        avail = reduced.edges_between(witness[pu], witness[pv])
+        if len(avail) < len(ids):
             return None
-        edge_map.update(zip(sorted(pattern_ids), avail))
-    return edge_map
-
-
-def _build_model(g: MultiGraph, h: MultiGraph, found) -> MinorModel:
-    state, witness = found  # witness: h vertex -> reduced vertex
-    branch_sets = {hv: state.merged[rv] for hv, rv in witness.items()}
-    edge_map = _hand_out_edges(h, state.graph, witness)
-    if edge_map is None:
-        raise GraphError("internal error: missing parallel copies in reduced graph")
-    return MinorModel(g, h, branch_sets, edge_map)
+        edge_map.update(zip(ids, avail))
+    model = MinorModel(host, pattern, {p: merged[r] for p, r in witness.items()}, edge_map)
+    model.validate()
+    return model
 
 
 def one_step_reductions(g: MultiGraph) -> list[tuple[str, int, str, MultiGraph]]:
@@ -223,31 +223,21 @@ def one_step_reductions(g: MultiGraph) -> list[tuple[str, int, str, MultiGraph]]
     return reductions
 
 
-@dataclass
-class ScriptCheck:
-    ok: bool
-    model: Optional[MinorModel]
-
-
-def verify_minor_script(g: MultiGraph, script: ReductionScript, target: MultiGraph) -> ScriptCheck:
-    """Run a reduction script and check the outcome against a target graph.
+def verify_minor_script(
+    g: MultiGraph, script: ReductionScript, target: MultiGraph
+) -> Optional[MinorModel]:
+    """Run a reduction script and check the outcome against a target graph:
+    returns the validated model, or None.
 
     The comparison simplifies the result and discards vertices the script
     left isolated (reading a script as a minor derivation allows dropping
-    them).  On success the returned model maps the target into the original
-    graph, ready for cycle lifting.
+    them).  The model maps the simplified target into the original graph,
+    ready for cycle lifting.
     """
     sr = apply_script(g, script)
-    reduced = without_isolated(simplify(sr.graph))
+    reduced = _normalize(sr.graph.edges, 1, 0)
     target_s = simplify(target)
     witness = is_isomorphic(target_s, reduced)
     if witness is None:
-        return ScriptCheck(False, None)
-    edge_map = _hand_out_edges(target_s, reduced, witness)
-    if edge_map is None:
-        return ScriptCheck(False, None)
-    branch_all = sr.branch_sets()
-    branch_sets = {tv: branch_all[rv] for tv, rv in witness.items()}
-    model = MinorModel(g, target_s, branch_sets, edge_map)
-    model.validate()
-    return ScriptCheck(True, model)
+        return None
+    return _model(g, target_s, reduced, witness, sr.branch_sets())

@@ -129,10 +129,10 @@ def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
     under g's automorphisms is skipped, as an automorphism carries the one
     graph onto the other.  The first planar set is never skipped, so the
     witness is the one trying every set would give.  Raises ``GraphError``
-    for k < 0.
+    unless k is an int (not a bool) of at least 0.
     """
-    if k < 0:
-        raise GraphError(f"k must be at least 0, got {k}")
+    if type(k) is not int or k < 0:
+        raise GraphError(f"k must be an integer of at least 0, got {k!r}")
     return _apex_search(g, k)
 
 

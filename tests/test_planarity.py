@@ -1,5 +1,8 @@
 """Planarity and k-apex testing."""
 
+import ast
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -110,9 +113,11 @@ def test_is_planar_rejects_unknown_vertices():
 
 
 def test_apex_search_rejects_negative_k():
+    # and any k that is not an int: a bool would otherwise run as 0 or 1
     for search in (apex_witness, is_k_apex):
-        with pytest.raises(GraphError):
-            search(complete_graph(4), -1)
+        for k in (-1, 1.5, True, "2", None):
+            with pytest.raises(GraphError):
+                search(complete_graph(5), k)
 
 
 def test_apex_witness_of_k6():
@@ -143,3 +148,20 @@ def test_all_proper_minors_two_apex_on_small_case():
     witness, failures = all_proper_minors_2apex(complete_graph(6))
     assert witness == apex_witness(complete_graph(6), 2)
     assert failures == []
+
+
+def test_only_planarity_imports_networkx():
+    # networkx stays behind one module, so that moving that boundary is a
+    # deliberate change to this test and never a side effect
+    importers = set()
+    for path in sorted(Path(planarity.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "networkx" for name in names):
+                importers.add(path.stem)
+    assert importers == {"planarity"}
