@@ -233,6 +233,13 @@ def run_trials(
     return run, [r for r in rows if r is not None]
 
 
+def borne_out(check: str, rows: list[dict]) -> bool:
+    """Whether a check's rows bear it out: at least one row, and every row
+    holds.  No row at all (no trial met the premise) shows nothing."""
+    holds = CHECKS[check].holds
+    return bool(rows) and all(map(holds, rows))
+
+
 def _failures(check: str, rows: list[dict], label: str = "trial") -> list:
     holds = CHECKS[check].holds
     return [r[label] for r in rows if not holds(r)]
@@ -453,11 +460,10 @@ def _conway_gordon(check, name, scope_key, size, trials, seed, jobs):
     run, rows = run_trials(check, fixture(name), seed, trials, jobs)
     if len(run.scope) != size:
         return False, {scope_key: len(run.scope)}
-    even = _failures(check, rows)
-    return not even, {
+    return borne_out(check, rows), {
         "trials": len(rows),
         scope_key: size,
-        "even_parity_trials": even,
+        "even_parity_trials": _failures(check, rows),
         "odd_witnesses_first_trial": rows[0]["odd_witnesses"],
     }
 
@@ -487,14 +493,12 @@ def claim_petersen_lk(trials, seed, jobs):
     ok = True
     for rec in sorted(fam.records, key=lambda r: (r.vertex_count, r.name)):
         run, rows = run_trials("petersen-lk", rec.graph, seed, trials, jobs)
-        missing = _failures("petersen-lk", rows)
         members[rec.name] = {
             "disjoint_pairs": len(run.scope),
             "trials": len(rows),
-            "trials_without_odd_pair": missing,
+            "trials_without_odd_pair": _failures("petersen-lk", rows),
         }
-        if missing:
-            ok = False
+        ok = ok and borne_out("petersen-lk", rows)
     return ok, {"members": members}
 
 
@@ -520,7 +524,6 @@ def claim_d4_lemma(trials, seed, jobs):
     if len(pairs) != 2:
         return False, {"disjoint_bigon_pairs": len(pairs)}
     n = run.base.crossing_count
-    alpha_failures = _failures("d4-lemma", rows, "assignment")
     host = fixture("N9")
     model = d4_in_n9_model()
     lifted = [(lift_cycle(model, a), lift_cycle(model, b)) for a, b in pairs]
@@ -529,17 +532,12 @@ def claim_d4_lemma(trials, seed, jobs):
     alphas = _map_trials(_d4_host_trial, (seed, host, lifted, host_quads), samples, jobs)
     host_both_odd = sum(1 for v in alphas if v is not None)
     host_failures = [i for i, v in enumerate(alphas) if v not in (None, 1)]
-    ok = (
-        not alpha_failures
-        and len(rows) > 0
-        and not host_failures
-        and host_both_odd > 0
-    )
+    ok = borne_out("d4-lemma", rows) and not host_failures and host_both_odd > 0
     return ok, {
         "crossings": n,
         "assignments": 1 << n,
         "both_odd_assignments": len(rows),
-        "alpha_failures": alpha_failures,
+        "alpha_failures": _failures("d4-lemma", rows, "assignment"),
         "host_samples": samples,
         "host_both_odd": host_both_odd,
         "host_alpha_failures": host_failures,
@@ -552,7 +550,6 @@ def claim_n9fn_dichotomy(trials, seed, jobs):
     ok = True
     for name in ("N9", "N'10"):
         _, rows = run_trials("n9fn", fixture(name), seed, trials, jobs)
-        misses = _failures("n9fn", rows)
         kinds = {
             "knot": sum(1 for r in rows if r["kind"] == "knot"),
             "link": sum(1 for r in rows if r["kind"] == "link"),
@@ -560,11 +557,10 @@ def claim_n9fn_dichotomy(trials, seed, jobs):
         out[name] = {
             "trials": len(rows),
             "witness_kinds": kinds,
-            "trials_without_witness": misses,
+            "trials_without_witness": _failures("n9fn", rows),
             "first_witness": (rows[0]["kind"], rows[0]["witness"]),
         }
-        if misses:
-            ok = False
+        ok = ok and borne_out("n9fn", rows)
     return ok, out
 
 

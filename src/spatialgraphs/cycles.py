@@ -129,7 +129,10 @@ def parse_cycle(g: MultiGraph, text: str) -> Cycle:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise GraphError(f"not bracket notation: {text!r}")
-    verts = [int(tok) for tok in body[1:-1].split()]
+    try:
+        verts = [int(tok) for tok in body[1:-1].split()]
+    except ValueError:
+        raise GraphError(f"not bracket notation: {text!r}") from None
     if not verts:
         raise GraphError("empty cycle")
     if len(verts) == 1:

@@ -19,10 +19,10 @@ is built for one triangle per orbit.
 
 Star-to-triangle needs a convention when two neighbors of the degree-3
 vertex are already adjacent (the new triangle edge would collapse with the
-old one).  ``closure`` fixes it: it skips such exchanges and performs only
-the edge-count-preserving ones, the convention the family censuses this
-library targets are stated for.  Manifests record it as
-``"collapse_convention": "skip"``.
+old one): ``y_delta`` adds no edge between them, so the move loses edges.
+``closure`` skips such exchanges and performs only the edge-count-preserving
+ones, the convention the family censuses this library targets are stated
+for.  Manifests record it as ``"collapse_convention": "skip"``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 from .canon import Certificate, _set_orbit, automorphisms, canonical_form, degree_sequence
 from .cycles import Cycle, CycleTuple, all_cycles, disjoint_tuples_among, gamma3_empty
-from .multigraph import GraphError, MultiGraph, _simple_graph, format_edge_list
+from .multigraph import GraphError, MultiGraph, format_edge_list
 
 
 class ExchangeSiteError(GraphError):
@@ -54,6 +54,8 @@ def triangles(g: MultiGraph) -> tuple[tuple[int, int, int], ...]:
 
 
 def _triangle_edges(g: MultiGraph, t: tuple[int, int, int]) -> tuple[int, int, int]:
+    if len(t) != 3 or len(set(t)) != 3:
+        raise ExchangeSiteError(f"{t} is not three distinct corners")
     u, v, w = sorted(t)
     ids = []
     for a, b in ((u, v), (u, w), (v, w)):
@@ -67,8 +69,8 @@ def _triangle_edges(g: MultiGraph, t: tuple[int, int, int]) -> tuple[int, int, i
 def delta_y(g: MultiGraph, t: tuple[int, int, int]) -> MultiGraph:
     """Triangle-to-star: delete the triangle edges, join a fresh vertex to
     the three corners.  Edge count is preserved."""
-    u, v, w = sorted(t)
     tri = _triangle_edges(g, t)
+    u, v, w = sorted(t)
     x = g.next_vertex_label()
     nid = g.next_edge_id()
     edges = [e for e in g.edges if e[0] not in tri]
@@ -79,9 +81,9 @@ def delta_y(g: MultiGraph, t: tuple[int, int, int]) -> MultiGraph:
 def y_delta(g: MultiGraph, x: int) -> MultiGraph:
     """Star-to-triangle at a degree-3 vertex with three distinct neighbors.
 
-    The vertex and its star go away and the neighbors get a triangle, then
-    parallel classes are collapsed, so the result is simple whenever the
-    input is.
+    The vertex and its star go away, and each pair of neighbors not already
+    adjacent gets a new edge, with ids from g.next_edge_id() in the pair
+    order (a, b), (a, c), (b, c); every other edge is kept as it is.
     """
     if g.degree(x) != 3:
         raise ExchangeSiteError(f"vertex {x} has degree {g.degree(x)}, not 3")
@@ -93,8 +95,9 @@ def y_delta(g: MultiGraph, x: int) -> MultiGraph:
     a, b, c = nbrs
     kept = [(e, p, q) for e, p, q in g.edges if p != x and q != x]
     nid = g.next_edge_id()
-    kept += [(nid, a, b), (nid + 1, a, c), (nid + 2, b, c)]
-    return _simple_graph((v for v in g.vertices if v != x), kept)
+    kept += [(nid + i, p, q) for i, (p, q) in enumerate(((a, b), (a, c), (b, c)))
+             if not g.has_edge_between(p, q)]
+    return MultiGraph((v for v in g.vertices if v != x), kept)
 
 
 def y_delta_preserves_edges(g: MultiGraph, x: int) -> bool:

@@ -3,13 +3,14 @@
 ``has_minor`` runs a memoized reduction search (edge deletions and edge
 contractions, isolated vertices dropped along the way) from the host toward
 the pattern's vertex/edge counts.  States are deduplicated by canonical
-form; intermediate graphs are normalized so parallel multiplicities never
+form; intermediate graphs are trimmed so parallel multiplicities never
 exceed what the pattern could use, which keeps the state space finite for
 multigraph patterns such as the doubled square.
 
 ``verify_minor_script`` replays a hand-written reduction script instead of
 searching.  Both routines reach a model by one path: the reduced graph is
-built from an edge list by ``_normalize``, matched to the pattern by
+built from an edge list by ``multigraph._trimmed``, the one trimmer of
+derived graphs, with no isolated vertex, then matched to the pattern by
 isomorphism, and ``_model`` hands out the pattern edges, assembles the
 ``MinorModel`` and validates it, so callers can lift cycles through it.
 """
@@ -17,17 +18,16 @@ isomorphism, and ``_model`` hands out the pattern edges, assembles the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
 from .cycles import MinorModel
 from .multigraph import (
-    Edge,
     GraphError,
     MultiGraph,
     ReductionScript,
     _contraction,
-    _simple_graph,
+    _trimmed,
     apply_script,
     delete_edge,
     delete_vertex,
@@ -44,19 +44,6 @@ def _multiplicity_caps(h: MultiGraph) -> tuple[int, int]:
         else:
             par_cap = max(par_cap, len(ids))
     return par_cap, loop_cap
-
-
-def _normalize(edges: Iterable[Edge], par_cap: int, loop_cap: int) -> MultiGraph:
-    """The graph of an edge list with each parallel class trimmed to its
-    smallest ids (at most loop_cap loops, par_cap edges otherwise) and no
-    isolated vertices, in one construction."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for eid, u, v in edges:
-        classes.setdefault((u, v) if u < v else (v, u), []).append(eid)
-    kept = []
-    for (u, v), ids in classes.items():
-        kept += [(eid, u, v) for eid in sorted(ids)[:loop_cap if u == v else par_cap]]
-    return MultiGraph({x for _, u, v in kept for x in (u, v)}, kept)
 
 
 def _degree_dominates(g: MultiGraph, h: MultiGraph) -> bool:
@@ -90,7 +77,7 @@ def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     if any(not h.incident(v) for v in h.vertices):
         raise GraphError("patterns with isolated vertices are not supported")
     par_cap, loop_cap = _multiplicity_caps(h)
-    start = _normalize(g.edges, par_cap, loop_cap)
+    start = _trimmed(None, g.edges, par_cap, loop_cap)
     init = _State(start, {v: frozenset([v]) for v in start.vertices})
     seen: set[bytes] = set()
     budget = [_MAX_STATES]
@@ -150,7 +137,7 @@ def _search(
         if g.edge_count > mh:
             moves.append(([e for e in g.edges if e[0] != eid], None))
         for edges, drop in moves:
-            child = _normalize(edges, par_cap, loop_cap)
+            child = _trimmed(None, edges, par_cap, loop_cap)
             merged = {w: s for w, s in state.merged.items() if child.has_vertex(w)}
             if drop is not None and u in merged:
                 merged[u] = merged[u] | state.merged[drop]
@@ -209,7 +196,7 @@ def one_step_reductions(g: MultiGraph) -> list[tuple[str, int, str, MultiGraph]]
         for eid, u, v in edges:
             if u != v:
                 yield ("contract edge", eid, f"contract edge {u}-{v} (id {eid})",
-                       _simple_graph(*_contraction(g, eid)))
+                       _trimmed(*_contraction(g, eid)))
         for orbit in vertex_orbits(g):
             yield "delete vertex", orbit[0], f"delete vertex {orbit[0]}", delete_vertex(g, orbit[0])
 
@@ -235,7 +222,7 @@ def verify_minor_script(
     ready for cycle lifting.
     """
     sr = apply_script(g, script)
-    reduced = _normalize(sr.graph.edges, 1, 0)
+    reduced = _trimmed(None, sr.graph.edges)
     target_s = simplify(target)
     witness = is_isomorphic(target_s, reduced)
     if witness is None:

@@ -249,28 +249,21 @@ def simplify(g: MultiGraph) -> MultiGraph:
     The vertex set is unchanged; a simple input comes back with the same
     edge id set.
     """
-    return _simple_graph(g.vertices, g.edges)
+    return _trimmed(g.vertices, g.edges)
 
 
-def _simple_graph(vertices: Iterable[int], edges: Iterable[Edge]) -> MultiGraph:
-    """The graph of an edge list less its loops, with the smallest id of
-    each parallel class: one construction where building the graph and then
-    simplifying it would make two."""
-    first: dict[tuple[int, int], Edge] = {}
+def _trimmed(vertices: Optional[Iterable[int]], edges: Iterable[Edge], par_cap=1, loop_cap=0):
+    """The graph of an edge list keeping each parallel class's smallest ids,
+    at most loop_cap loops and par_cap other edges, on the given vertices or,
+    when vertices is None, on the kept edges' ends: one construction."""
+    classes: dict[tuple[int, int], list[int]] = {}
     for eid, u, v in edges:
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key not in first or eid < first[key][0]:
-            first[key] = (eid, u, v)
-    return MultiGraph(vertices, first.values())
-
-
-def without_isolated(g: MultiGraph) -> MultiGraph:
-    iso = set(g.isolated_vertices())
-    if not iso:
-        return g
-    return MultiGraph((v for v in g.vertices if v not in iso), g.edges)
+        classes.setdefault((u, v) if u < v else (v, u), []).append(eid)
+    kept = [(eid, u, v) for (u, v), ids in classes.items()
+            for eid in sorted(ids)[:loop_cap if u == v else par_cap]]
+    if vertices is None:
+        vertices = {x for _, u, v in kept for x in (u, v)}
+    return MultiGraph(vertices, kept)
 
 
 # -- reduction scripts -------------------------------------------------------
@@ -397,7 +390,7 @@ def parse_edge_list(text: str) -> MultiGraph:
         if parts[0] == "vertices":
             if n_declared is not None:
                 raise GraphError(f"line {lineno}: duplicate vertices header")
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                 raise GraphError(f"line {lineno}: expected 'vertices <n>'")
             n_declared = int(parts[1])
             continue

@@ -7,11 +7,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spatialgraphs
 from spatialgraphs import claims, cli
 from spatialgraphs.catalog import fixture, fixture_names
-from spatialgraphs.multigraph import complete_graph, format_edge_list, parse_edge_list
+from spatialgraphs.cycles import parse_cycle
+from spatialgraphs.invariants import parse_gauss
+from spatialgraphs.multigraph import GraphError, complete_graph, format_edge_list, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -245,6 +249,9 @@ PINNED_REPORTS = {
         "44eed743555043b87040f7037d818af3366017ca9a9b7b85f69247df3037c0bd",
     "spatial --graph D4 --check d4-lemma --trials 20 --seed 3":
         "af6dfee7322952bb887686186641d31b0e6b07b08fcefe64410be8a02eefbdfe",
+    # no trial meets the premise: a FAIL, as verify reads no row at all
+    "spatial --graph D4 --check d4-lemma --trials 1 --seed 0":
+        "d736ef8cfa4943b28c87b06bb5c56d077e774eca4f57840f2d65c87f3bb12146",
     "spatial --graph N9 --check n9fn --trials 3 --seed 2":
         "4b470a724a99e797b356f2f444d19747a224777031b6bc7ae9f8cac4ae7a88cc",
     "verify conway-gordon-k6 --trials 4 --seed 1":
@@ -282,8 +289,8 @@ PINNED_N9_FILE_MANIFEST = "93a3cff3ca617622d37c9a080a0dc73fe519d67c1b13d5bf75151
 @pytest.mark.parametrize("call", sorted(PINNED_REPORTS))
 def test_reports_match_pins(capsys, call):
     code, out, _ = run(capsys, *call.split(), "--format", "json")
-    assert code == 0
     report = {k: v for k, v in json.loads(out).items() if k not in ("elapsed_s", "python")}
+    assert code == {"PASS": 0, "FAIL": 1}[report["result"]]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_REPORTS[call]
 
@@ -390,7 +397,8 @@ def test_unknown_claim_with_bad_knot_seed_exits_2(capsys, monkeypatch):
     (b"vertices 2\n1 x\n", "line 2: vertex label 'x' is not an integer"),
     (b"vertices 1\nvertex y\n", "line 2: vertex label 'y' is not an integer"),
     (b"vertices 2\n0 1 # \xff\n", "not a UTF-8 text file"),
-], ids=["edge", "vertex", "not-utf8"])
+    ("vertices \u00b2\n".encode(), "line 1: expected 'vertices <n>'"),
+], ids=["edge", "vertex", "not-utf8", "header"])
 @pytest.mark.parametrize("command", [
     ["families", "--seed"],
     ["spatial", "--check", "cg-k6", "--graph"],
@@ -401,6 +409,29 @@ def test_bad_edge_list_file_exits_2(capsys, tmp_path, content, message, command)
     code, out, err = run(capsys, *command, str(graph))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+# lines of up to three tokens from the edge-list, cycle and Gauss code
+# notations and some that fit none of them
+_TOKEN_SOUP = st.lists(
+    st.lists(st.sampled_from([
+        "vertices", "vertex", "0", "1", "2", "-1", "-", "--1", "x", "\u00b2",
+        "c1o+", "c1u-", "c2", "/", "[", "]", "[1", "2]", "#",
+    ]), max_size=3).map(" ".join),
+    max_size=4,
+).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TOKEN_SOUP)
+def test_outside_input_parsers_raise_only_graph_error(text):
+    k4 = complete_graph(4)
+    for parse in (parse_edge_list, parse_gauss, lambda t: parse_cycle(k4, t),
+                  lambda t: parse_cycle(k4, f"[{t}]")):
+        try:
+            parse(text)
+        except GraphError:
+            pass
 
 
 def test_missing_graph_file_exits_2(capsys, tmp_path):

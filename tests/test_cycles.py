@@ -108,6 +108,8 @@ def test_parse_cycle_rejects_non_cycles(n9):
         (k6, "[1 2 3 1 4 5]"),  # a bowtie through 1
         (k6, "[1 2 1 2]"),  # one edge walked back and forth
         (from_pairs([(1, 1), (1, 1), (1, 2)]), "[1 1]"),  # two loops at 1
+        (complete_graph(4), "[1 2 x]"),  # a label that is not an integer
+        (complete_graph(4), "[- ]"),
     ):
         with pytest.raises(GraphError):
             parse_cycle(g, text)

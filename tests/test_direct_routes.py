@@ -6,7 +6,8 @@ The oracles below are copies of those routes: planarity asked of
 simplify(G) with the vertices of S deleted one by one, apex candidates
 ordered by their degree in simplify(G), triangles by an index triple loop,
 the triangle-to-star built from three edge deletions, the star-to-triangle
-and simplify each built and then simplified, and contractions as
+built and then simplified on the new triangle's edges alone, simplify
+built and then simplified, and contractions as
 simplify(contract_edge(G, e)).
 """
 
@@ -150,7 +151,12 @@ def _old_y_delta(g: MultiGraph, x: int) -> MultiGraph:
     kept = [(e, p, q) for e, p, q in g.edges if p != x and q != x]
     nid = g.next_edge_id()
     kept += [(nid, a, b), (nid + 1, a, c), (nid + 2, b, c)]
-    return _old_simplify(MultiGraph((v for v in g.vertices if v != x), kept))
+    h = MultiGraph((v for v in g.vertices if v != x), kept)
+    # simplify the new triangle edges alone: each collapses onto the older
+    # edges of its class, and every other loop and parallel stays
+    return MultiGraph(h.vertices, [
+        (e, p, q) for e, p, q in h.edges if e < nid or len(h.edges_between(p, q)) == 1
+    ])
 
 
 @settings(max_examples=150, deadline=None)

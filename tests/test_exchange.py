@@ -53,9 +53,24 @@ def test_delta_y_keeps_every_edge_off_the_triangle(name):
 
 
 def test_delta_y_rejects_missing_triangle():
-    path = from_pairs([(1, 2), (2, 3)])
-    with pytest.raises(ExchangeSiteError):
-        delta_y(path, (1, 2, 3))
+    for g, site in (
+        (from_pairs([(1, 2), (2, 3)]), (1, 2, 3)),
+        (from_pairs([(1, 2), (2, 2), (1, 3)]), (1, 2, 2)),  # the loop at 2 is no triangle edge
+        (complete_graph(4), (1, 2)),
+    ):
+        with pytest.raises(ExchangeSiteError):
+            delta_y(g, site)
+
+
+def test_y_delta_keeps_loops_and_parallels():
+    # K3,3 with a loop, or a parallel edge, away from the exchanged star
+    k33 = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+    for extra in ((2, 2), (2, 4)):
+        g = from_pairs(k33 + [extra])
+        assert y_delta_preserves_edges(g, 1)
+        h = y_delta(g, 1)
+        assert h.edge_count == g.edge_count
+        assert {e for e in g.edges if 1 not in e[1:]} <= set(h.edges)
 
 
 def test_y_delta_undoes_delta_y():

@@ -211,7 +211,8 @@ HAS_MINOR_PINS = {
 }
 
 # model digests of reduction_scripts(), in order, recorded when a script's
-# result was reduced by simplify and without_isolated
+# result was simplified and then stripped of its isolated vertices, in two
+# constructions where one trim now makes one
 SCRIPT_PINS = [
     "0ecc6ab8f47996fe90e24e3c2c44d2aede0e6227768dfcb96945f07f2aeefc97",
     "4344c2de44e17c347b0aad396c6b8b683854035ed017acd80472e43708b30f41",

@@ -22,7 +22,6 @@ from spatialgraphs.multigraph import (
     from_pairs,
     parse_edge_list,
     simplify,
-    without_isolated,
 )
 
 
@@ -120,12 +119,6 @@ def test_delete_vertex_drops_incident_edges():
     assert sorted(h.vertices) == [1, 3, 4]
     assert h.edge_count == 3
     assert all(2 not in g.endpoints(e) for e in h.edge_ids())
-
-
-def test_without_isolated():
-    g = MultiGraph([1, 2, 3], [(0, 1, 2)])
-    h = without_isolated(g)
-    assert sorted(h.vertices) == [1, 2]
 
 
 def test_apply_script_on_label_pairs():

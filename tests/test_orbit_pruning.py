@@ -397,6 +397,13 @@ def test_closure_matches_every_child_canonicalised(g, moves):
     _same_closure(g, moves)
 
 
+@settings(max_examples=20, deadline=None)
+@given(symmetric_multigraphs())
+def test_closure_members_keep_the_seed_edge_count(g):
+    # both moves change only the edges they name: loops and parallels stay
+    assert {r.edge_count for r in closure(g).records} == {g.edge_count}
+
+
 @pytest.mark.parametrize("moves", [("dy", "yd"), ("dy",), ("yd",)])
 @pytest.mark.parametrize("name", ["K6", "K7", "K3311"])
 def test_family_closures_match_every_child_canonicalised(name, moves):
