@@ -17,7 +17,7 @@ import time
 from . import __version__
 from .canon import canonical_form
 from .catalog import fixture, fixture_names, heawood_family, k3311_family, petersen_family
-from .claims import CHECKS, CLAIMS, borne_out, run_claim, run_trials
+from .claims import CHECKS, CLAIMS, _require_counts, borne_out, run_claim, run_trials
 from .exchange import closure, write_manifest
 from .invariants import GaussLink, format_gauss
 from .multigraph import GraphError, parse_edge_list
@@ -127,6 +127,7 @@ def _render(node, depth: int) -> None:
 
 
 def cmd_families(args) -> int:
+    _require_counts(None, args.jobs)
     moves = tuple(m.strip() for m in args.moves.split(",") if m.strip())
     if args.seed in _FAMILIES and set(moves) == {"dy", "yd"}:
         result = _FAMILIES[args.seed]()

@@ -453,6 +453,8 @@ def diagram_from_json(text: str) -> SpatialDiagram:
         polylines = {e: tuple(map(_point, rec["polyline"])) for e, rec in edges.items()}
         stored = [((r["over_edge"], _frac(r["over_param"])), (r["under_edge"], _frac(r["under_param"])))
                   for r in doc["crossings"]]
+        if any(type(r[k]) is not int for r in doc["crossings"] for k in ("over_edge", "under_edge")):
+            raise TypeError("crossing edge ids must be integers")
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise GraphError(f"malformed diagram document: {err}") from err
     d = SpatialDiagram(g, positions, polylines)

@@ -78,13 +78,9 @@ def delta_y(g: MultiGraph, t: tuple[int, int, int]) -> MultiGraph:
     return MultiGraph(g.vertices + (x,), edges)
 
 
-def y_delta(g: MultiGraph, x: int) -> MultiGraph:
-    """Star-to-triangle at a degree-3 vertex with three distinct neighbors.
-
-    The vertex and its star go away, and each pair of neighbors not already
-    adjacent gets a new edge, with ids from g.next_edge_id() in the pair
-    order (a, b), (a, c), (b, c); every other edge is kept as it is.
-    """
+def _star_neighbors(g: MultiGraph, x: int) -> tuple[int, int, int]:
+    """The three neighbors of a star-to-triangle site x; ExchangeSiteError
+    when x has another degree, a loop or a repeated neighbor."""
     if g.degree(x) != 3:
         raise ExchangeSiteError(f"vertex {x} has degree {g.degree(x)}, not 3")
     if g.loops_at(x):
@@ -92,7 +88,17 @@ def y_delta(g: MultiGraph, x: int) -> MultiGraph:
     nbrs = g.neighbors(x)
     if len(nbrs) != 3:
         raise ExchangeSiteError(f"vertex {x} does not have three distinct neighbors")
-    a, b, c = nbrs
+    return nbrs
+
+
+def y_delta(g: MultiGraph, x: int) -> MultiGraph:
+    """Star-to-triangle at a degree-3 vertex with three distinct neighbors.
+
+    The vertex and its star go away, and each pair of neighbors not already
+    adjacent gets a new edge, with ids from g.next_edge_id() in the pair
+    order (a, b), (a, c), (b, c); every other edge is kept as it is.
+    """
+    a, b, c = _star_neighbors(g, x)
     kept = [(e, p, q) for e, p, q in g.edges if p != x and q != x]
     nid = g.next_edge_id()
     kept += [(nid + i, p, q) for i, (p, q) in enumerate(((a, b), (a, c), (b, c)))
@@ -101,12 +107,12 @@ def y_delta(g: MultiGraph, x: int) -> MultiGraph:
 
 
 def y_delta_preserves_edges(g: MultiGraph, x: int) -> bool:
-    """Whether the star-to-triangle at x would keep the edge count (no
-    neighbor pair already adjacent)."""
-    nbrs = g.neighbors(x)
-    if g.degree(x) != 3 or len(nbrs) != 3 or g.loops_at(x):
+    """Whether x is a star-to-triangle site whose exchange keeps the edge
+    count (no neighbor pair already adjacent)."""
+    try:
+        a, b, c = _star_neighbors(g, x)
+    except ExchangeSiteError:
         return False
-    a, b, c = nbrs
     return not (
         g.has_edge_between(a, b) or g.has_edge_between(a, c) or g.has_edge_between(b, c)
     )

@@ -2,10 +2,12 @@
 
 ``has_minor`` runs a memoized reduction search (edge deletions and edge
 contractions, isolated vertices dropped along the way) from the host toward
-the pattern's vertex/edge counts.  States are deduplicated by canonical
-form; intermediate graphs are trimmed so parallel multiplicities never
-exceed what the pattern could use, which keeps the state space finite for
-multigraph patterns such as the doubled square.
+the pattern's vertex/edge counts, as one depth-first loop over an explicit
+stack.  Each edge in turn gives two children, its contraction and then its
+deletion.  States are deduplicated by canonical form, and at most
+``_MAX_STATES`` are expanded; intermediate graphs are trimmed so parallel
+multiplicities never exceed what the pattern could use, which keeps the
+state space finite for multigraph patterns such as the doubled square.
 
 ``verify_minor_script`` replays a hand-written reduction script instead of
 searching.  Both routines reach a model by one path: the reduced graph is
@@ -17,7 +19,6 @@ isomorphism, and ``_model`` hands out the pattern edges, assembles the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .canon import canonical_form, degree_sequence, edge_orbits, is_isomorphic, vertex_orbits
@@ -55,98 +56,69 @@ def _degree_dominates(g: MultiGraph, h: MultiGraph) -> bool:
     return all(a >= b for a, b in zip(dg, dh))
 
 
-@dataclass
-class _State:
-    graph: MultiGraph
-    # current vertex -> original vertices merged into it
-    merged: dict[int, frozenset[int]]
-
-
 _MAX_STATES = 2_000_000  # reduction states has_minor may expand
-
-
-class _OverBudget(Exception):
-    """The search would expand more than _MAX_STATES states."""
 
 
 def has_minor(g: MultiGraph, h: MultiGraph) -> Optional[MinorModel]:
     """A MinorModel of h inside g, or None. Absence means the memoized
-    search exhausted every reduction order."""
+    search exhausted every reduction order.
+
+    The stack holds (graph, merged) pairs, merged mapping each vertex to the
+    host vertices contracted into it.  A graph is matched to h once it has
+    h's size, else expanded if its canonical form is new: per edge in edge
+    order, the contraction onto the smaller end, then the deletion, each
+    trimmed to h's caps and pushed in reverse so they pop in that order.
+    Expanding more than _MAX_STATES graphs raises GraphError.
+    """
     if h.vertex_count == 0:
         raise GraphError("empty pattern")
     if any(not h.incident(v) for v in h.vertices):
         raise GraphError("patterns with isolated vertices are not supported")
     par_cap, loop_cap = _multiplicity_caps(h)
-    start = _trimmed(None, g.edges, par_cap, loop_cap)
-    init = _State(start, {v: frozenset([v]) for v in start.vertices})
-    seen: set[bytes] = set()
-    budget = [_MAX_STATES]
-
-    try:
-        found = _search(init, h, par_cap, loop_cap, seen, budget)
-    except _OverBudget:
-        raise GraphError(
-            f"minor search exceeded its state budget: {_MAX_STATES - budget[0]:,} "
-            f"of {_MAX_STATES:,} states expanded, host {g.vertex_count} vertices "
-            f"and {g.edge_count} edges, pattern {h.vertex_count} vertices and "
-            f"{h.edge_count} edges"
-        ) from None
-    if found is None:
-        return None
-    state, witness = found
-    model = _model(g, h, state.graph, witness, state.merged)
-    if model is None:
-        raise GraphError("internal error: missing parallel copies in reduced graph")
-    return model
-
-
-def _search(
-    state: _State,
-    h: MultiGraph,
-    par_cap: int,
-    loop_cap: int,
-    seen: set[bytes],
-    budget: list,
-) -> Optional[tuple[_State, dict[int, int]]]:
-    g = state.graph
     nh, mh = h.vertex_count, h.edge_count
-    if g.vertex_count < nh or g.edge_count < mh:
-        return None
-    if g.vertex_count == nh:
-        if not _degree_dominates(g, h):
-            return None
-        if g.edge_count == mh:
-            witness = is_isomorphic(h, g)
-            if witness is None:
-                return None
-            return (state, witness)
-    cert = canonical_form(g).blob
-    if cert in seen:
-        return None
-    seen.add(cert)
-    if budget[0] <= 0:
-        raise _OverBudget
-    budget[0] -= 1
-
-    children: list[_State] = []
-    for eid, u, v in g.edges:
-        # (edge list, vertex merged into u): contracting keeps u, as u < v
-        moves = []
-        if g.vertex_count > nh and u != v:
-            moves.append((_contraction(g, eid, u)[1], v))
-        if g.edge_count > mh:
-            moves.append(([e for e in g.edges if e[0] != eid], None))
-        for edges, drop in moves:
-            child = _trimmed(None, edges, par_cap, loop_cap)
-            merged = {w: s for w, s in state.merged.items() if child.has_vertex(w)}
-            if drop is not None and u in merged:
-                merged[u] = merged[u] | state.merged[drop]
-            children.append(_State(child, merged))
-
-    for child in children:
-        hit = _search(child, h, par_cap, loop_cap, seen, budget)
-        if hit is not None:
-            return hit
+    start = _trimmed(None, g.edges, par_cap, loop_cap)
+    stack = [(start, {v: frozenset([v]) for v in start.vertices})]
+    seen: set[bytes] = set()
+    while stack:
+        graph, merged = stack.pop()
+        if graph.vertex_count < nh or graph.edge_count < mh:
+            continue
+        if graph.vertex_count == nh:
+            if not _degree_dominates(graph, h):
+                continue
+            if graph.edge_count == mh:
+                witness = is_isomorphic(h, graph)
+                if witness is None:
+                    continue
+                model = _model(g, h, graph, witness, merged)
+                if model is None:
+                    raise GraphError("internal error: missing parallel copies in reduced graph")
+                return model
+        cert = canonical_form(graph).blob
+        if cert in seen:
+            continue
+        if len(seen) >= _MAX_STATES:
+            raise GraphError(
+                f"minor search exceeded its state budget: {len(seen):,} of {_MAX_STATES:,} "
+                f"states expanded, host {g.vertex_count} vertices and {g.edge_count} edges, "
+                f"pattern {h.vertex_count} vertices and {h.edge_count} edges"
+            )
+        seen.add(cert)
+        children = []
+        for eid, u, v in graph.edges:
+            # (edge list, vertex merged into u): contracting keeps u, as u < v
+            moves = []
+            if graph.vertex_count > nh and u != v:
+                moves.append((_contraction(graph, eid, u)[1], v))
+            if graph.edge_count > mh:
+                moves.append(([e for e in graph.edges if e[0] != eid], None))
+            for edges, drop in moves:
+                child = _trimmed(None, edges, par_cap, loop_cap)
+                kept = {w: s for w, s in merged.items() if child.has_vertex(w)}
+                if drop is not None and u in kept:
+                    kept[u] = kept[u] | merged[drop]
+                children.append((child, kept))
+        stack.extend(reversed(children))
     return None
 
 

@@ -362,6 +362,7 @@ def test_trial_claims_are_the_sampling_claims():
     # Gauss-code fixtures are not graphs
     ["spatial", "--graph", "Hopf", "--check", "cg-k6"],
     ["families", "--seed", "Trefoil"],
+    ["families", "--seed", "K6", "--jobs", "0"],
 ], ids=" ".join)
 def test_bad_trial_or_job_count_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -452,6 +452,16 @@ def _endpoint_boolean(doc):
     doc["edges"]["0"]["u"] = True
 
 
+def _under_edge_a_list(doc):
+    doc["crossings"][0]["under_edge"] = [doc["crossings"][0]["under_edge"]]
+
+
+def _over_edge_boolean(doc):
+    # crossing 0 is over edge 1, so True would read as that edge
+    assert doc["crossings"][0]["over_edge"] == 1
+    doc["crossings"][0]["over_edge"] = True
+
+
 def _one_element_point(doc):
     doc["edges"]["0"]["polyline"][1] = ["1/2"]
 
@@ -460,9 +470,10 @@ def _one_element_point(doc):
     "edit",
     [_coordinate_as_number, _drop("crossings"), _drop("edges"), _drop("vertices"),
      list, _edge_id_not_an_integer, _endpoint_not_an_integer, _one_element_point,
-     _endpoint_fractional, _endpoint_boolean],
+     _endpoint_fractional, _endpoint_boolean, _under_edge_a_list, _over_edge_boolean],
     ids=["coordinate number", "no crossings", "no edges", "no vertices", "top-level list",
-         "edge id", "endpoint", "one-element point", "fractional endpoint", "boolean endpoint"],
+         "edge id", "endpoint", "one-element point", "fractional endpoint", "boolean endpoint",
+         "list under edge", "boolean over edge"],
 )
 def test_json_rejects_malformed_documents(edit):
     doc = json.loads(diagram_to_json(build_convex_diagram(complete_graph(6), seed=0)))

@@ -233,6 +233,29 @@ def test_has_minor_models_are_pinned():
         assert (model and model_digest(model)) == pin, (host, pattern)
 
 
+# the fewest states has_minor must be allowed to expand to find each positive
+# HAS_MINOR_PINS model, recorded from the recursive search the loop replaced
+HAS_MINOR_STATES = {
+    ("K7", "K6"): 1,
+    ("K7", "P7"): 6,
+    ("N9", "D4"): 137,
+    ("N'10", "D4"): 679,
+    ("K3311", "K6"): 56,
+    ("PetersenRef", "K5"): 338,
+}
+
+
+def test_has_minor_work_is_pinned(monkeypatch):
+    assert set(HAS_MINOR_STATES) == {case for case, pin in HAS_MINOR_PINS.items() if pin}
+    for (host, pattern), states in HAS_MINOR_STATES.items():
+        g, h = _graph(host), _graph(pattern)
+        monkeypatch.setattr(minors, "_MAX_STATES", states)
+        assert model_digest(has_minor(g, h)) == HAS_MINOR_PINS[host, pattern]
+        monkeypatch.setattr(minors, "_MAX_STATES", states - 1)
+        with pytest.raises(GraphError, match=f"{states - 1:,} of {states - 1:,} states"):
+            has_minor(g, h)
+
+
 def test_script_models_are_pinned():
     digests = [
         model_digest(verify_minor_script(fixture(src), script, family_member(tgt)))

@@ -23,6 +23,7 @@ from spatialgraphs.claims import claim_apex_proper_minors
 from spatialgraphs.cycles import all_cycles, disjoint_tuples_among, gamma3_empty
 from spatialgraphs.exchange import (
     ClosureResult,
+    ExchangeSiteError,
     FamilyRecord,
     Move,
     Transition,
@@ -402,6 +403,17 @@ def test_closure_matches_every_child_canonicalised(g, moves):
 def test_closure_members_keep_the_seed_edge_count(g):
     # both moves change only the edges they name: loops and parallels stay
     assert {r.edge_count for r in closure(g).records} == {g.edge_count}
+
+
+@settings(max_examples=20, deadline=None)
+@given(symmetric_multigraphs())
+def test_y_delta_preserves_edges_exactly_where_y_delta_keeps_the_count(g):
+    for x in g.vertices:
+        try:
+            kept = y_delta(g, x).edge_count == g.edge_count
+        except ExchangeSiteError:
+            kept = False
+        assert y_delta_preserves_edges(g, x) == kept, x
 
 
 @pytest.mark.parametrize("moves", [("dy", "yd"), ("dy",), ("yd",)])
