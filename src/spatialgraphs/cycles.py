@@ -32,7 +32,9 @@ Beyond these this module implements
   shared by the disjoint-cycle search and Gauss code extraction,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
   the host graph (injective; branch set paths chosen shortest, ties to the
-  smallest vertex id).
+  smallest vertex id), a loop's by the same walk and check as any cycle.
+  ``validate`` and lifting walk a branch set off the edge images, so a
+  loop's image must close through its branch set, not hold it together.
 """
 
 from __future__ import annotations
@@ -291,10 +293,10 @@ def gamma3_empty(g: MultiGraph) -> bool:
 @dataclass(frozen=True)
 class MinorModel:
     """Branch sets + edge injection witnessing ``pattern`` as a minor of
-    ``host``.  ``branch_sets`` maps every pattern vertex to a connected host
-    vertex set, the sets disjoint; ``edge_map`` injects every pattern edge
-    id into a host edge joining the corresponding branch sets.  ``validate``
-    checks exactly this."""
+    ``host``.  ``branch_sets`` maps every pattern vertex to a host vertex
+    set connected off the edge images, the sets disjoint; ``edge_map``
+    injects every pattern edge id into a host edge joining the
+    corresponding branch sets.  ``validate`` checks exactly this."""
 
     host: MultiGraph
     pattern: MultiGraph
@@ -306,6 +308,7 @@ class MinorModel:
             raise GraphError("branch sets are not one per pattern vertex")
         if set(self.edge_map) != set(self.pattern.edge_ids()):
             raise GraphError("edge map is not one image per pattern edge")
+        images = frozenset(self.edge_map.values())
         seen: set[int] = set()
         for pv, bs in self.branch_sets.items():
             if not bs:
@@ -316,9 +319,9 @@ class MinorModel:
             missing = bs.difference(self.host.vertices)
             if missing:
                 raise UnknownVertexError(f"no vertex {min(missing)}")
-            if len(_branch_tree(self.host, bs, min(bs))) != len(bs):
+            if len(_branch_tree(self.host, bs, images, min(bs))) != len(bs):
                 raise GraphError(f"branch set of {pv} is not connected")
-        if len(set(self.edge_map.values())) != len(self.edge_map):
+        if len(images) != len(self.edge_map):
             raise GraphError("edge map is not injective")
         for peid, heid in self.edge_map.items():
             pu, pv = self.pattern.endpoints(peid)
@@ -334,63 +337,50 @@ class MinorModel:
 
 
 def _branch_tree(
-    g: MultiGraph, inside: frozenset[int], a: int, b: Optional[int] = None
-) -> dict[int, int]:
-    """Shortest-path tree from a within an induced branch set: each reached
-    vertex maps to its smallest neighbour one step closer to a, and a to
-    itself, so lifted cycles do not depend on dict ordering.  The BFS stops
-    at the layer that reaches b, or covers the component of a.
+    g: MultiGraph, inside: frozenset[int], images: frozenset[int], a: int, b: Optional[int] = None
+) -> dict[int, tuple[int, Optional[int]]]:
+    """Shortest-path tree from a within the branch set ``inside``, off the
+    model's edge ``images``: each reached vertex maps to its smallest
+    neighbour one step closer to a and the smallest edge id joining them,
+    and a to (a, None), so lifted cycles do not depend on dict ordering.
+    The BFS stops at the layer that reaches b, or covers a's component.
     """
-    parent = {a: a}
+    tree: dict[int, tuple[int, Optional[int]]] = {a: (a, None)}
     frontier = [a]
-    while frontier and b not in parent:
+    while frontier and b not in tree:
         nxt = []
         for x in sorted(frontier):
-            for _, w in g.incident(x):
-                if w in inside and w not in parent:
-                    parent[w] = x
+            for eid, w in g.incident(x):
+                if w in inside and w not in tree and eid not in images:
+                    tree[w] = (x, eid)
                     nxt.append(w)
         frontier = nxt
-    return parent
-
-
-def _branch_path(g: MultiGraph, inside: frozenset[int], a: int, b: int) -> list[int]:
-    """The edges of ``_branch_tree``'s path from a to b."""
-    parent = _branch_tree(g, inside, a, b)
-    if b not in parent:
-        raise GraphError(f"branch set has no path {a} -> {b}")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    edges: list[int] = []
-    for x, y in zip(path, path[1:]):
-        edges.append(min(g.edges_between(x, y)))
-    return edges
+    return tree
 
 
 def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
-    """Image of one pattern cycle in the host graph."""
-    pat, host = model.pattern, model.host
-    if len(pattern_cycle) == 1:
-        (peid,) = pattern_cycle
-        u, v = pat.endpoints(peid)
-        if u != v:
-            raise GraphError("single edge cycle must be a loop")
-        heid = model.edge_map[peid]
-        hu, hv = host.endpoints(heid)
-        inner = _branch_path(host, model.branch_sets[u], hu, hv)
-        return frozenset([heid, *inner])
-
-    walk = cycle_walk(pat, pattern_cycle)
+    """Image of one pattern cycle in the host graph: per step of the
+    pattern's ``cycle_walk``, the ``_branch_tree`` path from where the image
+    enters the vertex's branch set to where it leaves, and the image of the
+    edge it leaves by.  An edge image has one end in the branch set, but a
+    loop's may have both: it enters at the second and leaves at the first.
+    """
+    host = model.host
+    images = frozenset(model.edge_map.values())
+    walk = cycle_walk(model.pattern, pattern_cycle)
     out: set[int] = set()
     for i, (pv, e_out) in enumerate(walk):
         bs = model.branch_sets[pv]
-        h_in = model.edge_map[walk[i - 1][1]]
-        h_out = model.edge_map[e_out]
-        a_in = next(x for x in host.endpoints(h_in) if x in bs)
-        a_out = next(x for x in host.endpoints(h_out) if x in bs)
-        out.update(_branch_path(host, bs, a_in, a_out))
+        h_in, h_out = model.edge_map[walk[i - 1][1]], model.edge_map[e_out]
+        a_in = [x for x in host.endpoints(h_in) if x in bs][-1]
+        a_out = [x for x in host.endpoints(h_out) if x in bs][0]
+        tree = _branch_tree(host, bs, images, a_in, a_out)
+        if a_out not in tree:
+            raise GraphError(f"branch set has no path {a_in} -> {a_out}")
+        x = a_out
+        while x != a_in:
+            x, eid = tree[x]
+            out.add(eid)
         out.add(h_out)
     lifted = frozenset(out)
     cycle_walk(host, lifted)  # raises GraphError unless the lift is a cycle

@@ -277,6 +277,8 @@ def assign_over_under(
         if seed is None:
             raise GraphError("need bits or a seed")
         bits = Random(seed).getrandbits(n)
+    if type(bits) is not int:  # refuses 1.0, which breaks mask arithmetic, and True
+        raise GraphError(f"bits must be an integer, got {bits!r}")
     if not 0 <= bits < 1 << n:
         raise GraphError(f"bits out of range for {n} crossings")
     clone = copy(d)

@@ -8,6 +8,9 @@ deletion.  States are deduplicated by canonical form, and at most
 ``_MAX_STATES`` are expanded; intermediate graphs are trimmed so parallel
 multiplicities never exceed what the pattern could use, which keeps the
 state space finite for multigraph patterns such as the doubled square.
+With loops in the pattern, parallel classes keep one copy more than the
+largest loop class: a branch set spends at most one edge of a class on
+holding together, and the others can become its loops.
 
 ``verify_minor_script`` replays a hand-written reduction script instead of
 searching.  Both routines reach a model by one path: the reduced graph is
@@ -44,6 +47,8 @@ def _multiplicity_caps(h: MultiGraph) -> tuple[int, int]:
             loop_cap = max(loop_cap, len(ids))
         else:
             par_cap = max(par_cap, len(ids))
+    if loop_cap:
+        par_cap = max(par_cap, loop_cap + 1)
     return par_cap, loop_cap
 
 
@@ -199,4 +204,4 @@ def verify_minor_script(
     witness = is_isomorphic(target_s, reduced)
     if witness is None:
         return None
-    return _model(g, target_s, reduced, witness, sr.branch_sets())
+    return _model(g, target_s, reduced, witness, sr.branch_sets)

@@ -191,6 +191,8 @@ def complete_graph(n: int, labels: Optional[Iterable[int]] = None) -> MultiGraph
     vs = list(labels) if labels is not None else list(range(1, n + 1))
     if len(vs) != n:
         raise GraphError("label count does not match n")
+    if len(set(vs)) != n:
+        raise GraphError("labels are not distinct")
     return from_pairs([(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -294,9 +296,10 @@ Step = Union[DeleteEdge, ContractEdge, DeleteVertex]
 class ReductionScript:
     """Ordered deletions/contractions phrased against original vertex labels.
 
-    Later steps may mention a label that has since been merged away; it is
-    resolved through the running label map, so scripts read the way they are
-    usually written down: against the labels of the starting graph.
+    Later steps may mention a label that has since been merged away; it
+    resolves to the vertex whose branch set holds it, so scripts read the
+    way they are usually written down: against the labels of the starting
+    graph.
     """
 
     steps: tuple[Step, ...]
@@ -308,29 +311,21 @@ class ReductionScript:
 @dataclass
 class ScriptResult:
     graph: MultiGraph
-    # original label -> surviving label, or None once deleted
-    vertex_map: dict[int, Optional[int]]
-
-    def branch_sets(self) -> dict[int, frozenset[int]]:
-        """Surviving label -> set of original labels merged into it."""
-        out: dict[int, set[int]] = {}
-        for orig, cur in self.vertex_map.items():
-            if cur is not None:
-                out.setdefault(cur, set()).add(orig)
-        return {k: frozenset(s) for k, s in out.items()}
+    # surviving label -> the original labels merged into it
+    branch_sets: dict[int, frozenset[int]]
 
 
 def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
     cur = g
-    vmap: dict[int, Optional[int]] = {v: v for v in g.vertices}
+    merged = {v: frozenset([v]) for v in g.vertices}
 
     def resolve(orig: int, idx: int) -> int:
-        if orig not in vmap:
-            raise ScriptError(f"step {idx}: label {orig} was never a vertex")
-        cur_label = vmap[orig]
-        if cur_label is None:
+        for label, group in merged.items():
+            if orig in group:
+                return label
+        if g.has_vertex(orig):
             raise ScriptError(f"step {idx}: vertex {orig} was deleted earlier")
-        return cur_label
+        raise ScriptError(f"step {idx}: label {orig} was never a vertex")
 
     for idx, step in enumerate(script.steps):
         if isinstance(step, DeleteEdge):
@@ -348,18 +343,14 @@ def apply_script(g: MultiGraph, script: ReductionScript) -> ScriptResult:
             if not ids:
                 raise ScriptError(f"step {idx}: no edge between {step.u} and {step.v}")
             cur = contract_edge(cur, min(ids), keep=a)
-            for orig, lab in vmap.items():
-                if lab == b:
-                    vmap[orig] = a
+            merged[a] |= merged.pop(b)
         elif isinstance(step, DeleteVertex):
             a = resolve(step.v, idx)
             cur = delete_vertex(cur, a)
-            for orig, lab in vmap.items():
-                if lab == a:
-                    vmap[orig] = None
+            del merged[a]
         else:
             raise ScriptError(f"step {idx}: unknown step {step!r}")
-    return ScriptResult(cur, vmap)
+    return ScriptResult(cur, merged)
 
 
 # -- edge list text format ---------------------------------------------------

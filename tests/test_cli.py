@@ -129,6 +129,25 @@ def test_verify_pass_and_report(capsys):
     assert report["inputs"]  # pinned input certificates travel with the verdict
 
 
+@pytest.mark.parametrize("argv, lines", [
+    # evidence of nested dicts
+    (["verify", "invariant-oracle", "--trials", "2"],
+     ["claim: invariant-oracle", "  trefoil:", "    conway:", "      2: 1", "  mismatches: []"]),
+    # a list of tuples
+    (["verify", "heawood-family"],
+     ["result: PASS", "  members:", "    - ('C11', 11)", "    - (\"N'10\", 10)"]),
+    # a list of rows, printed as a table
+    (["spatial", "--graph", "K6", "--check", "cg-k6", "--trials", "2"],
+     ["check: cg-k6", "    all_odd_parity: True", "    trial  parity  odd_witnesses",
+      "    1      1       3"]),
+], ids=["nested dicts", "list", "table"])
+def test_text_format_is_the_default(capsys, argv, lines):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    printed = [line.rstrip() for line in out.splitlines()]
+    assert all(line in printed for line in lines), out
+
+
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "petersen-families")
     assert code == 2

@@ -180,6 +180,18 @@ def test_loop_and_parallel_pair_accepted():
     assert d.crossing_count == 0
 
 
+def test_convex_drawing_of_loops_and_parallels():
+    # K4 with a loop at 1, a second 2-3 edge and two loops at 4
+    g = from_pairs([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 1), (2, 3), (4, 4), (4, 4)])
+    d = build_convex_diagram(g, seed=3)
+    assert d.crossing_count == 4
+    assert diagram_to_json(diagram_from_json(diagram_to_json(d))) == diagram_to_json(d)
+    for seed in range(20):
+        clone = assign_over_under(d, seed=seed)
+        for c in all_cycles(g):
+            assert cycle_a2(clone, c) == a2(extract_gauss(clone, [c]))
+
+
 class _PairwiseCertifier:
     """The certification the one segment-pair sweep replaced, kept as its
     oracle: each polyline checked alone, then every pair of edges."""
@@ -341,6 +353,10 @@ def test_assign_over_under_rejects_bad_input():
     d = build_convex_diagram(complete_graph(6))
     for bad in (-1, 1 << 15):
         with pytest.raises(GraphError, match="out of range"):
+            assign_over_under(d, bits=bad)
+    # 1.0 would be stored as the mask and True read as 1
+    for bad in (1.0, True):
+        with pytest.raises(GraphError, match="must be an integer"):
             assign_over_under(d, bits=bad)
     with pytest.raises(GraphError, match="need bits or a seed"):
         assign_over_under(d)

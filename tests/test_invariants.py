@@ -37,7 +37,7 @@ from spatialgraphs.invariants import (
     parse_gauss,
     poly_str,
 )
-from spatialgraphs.multigraph import GraphError, complete_graph
+from spatialgraphs.multigraph import GraphError, complete_graph, from_pairs
 
 TREFOIL = "c1o+ c2u+ c3o+ c1u+ c2o+ c3u+"
 
@@ -171,6 +171,19 @@ def test_dichotomy_witness_deterministic_case(n9):
     assert w.kind == "knot"
     assert format_cycle(n9, w.cycles[0]) == "[1 3 5 8 2 4 6]"
     assert w.values[0] % 2 == 1
+
+
+def test_dichotomy_witness_finds_a_link():
+    # three disjoint triangles, no knotted cycle: the witness is the triple
+    g = from_pairs([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)])
+    base = build_convex_diagram(g, order=[1, 4, 7, 2, 5, 8, 3, 6, 9], seed=0)
+    assert base.crossing_count == 18
+    d = assign_over_under(base, seed=1)
+    w = dichotomy_witness(d)
+    assert w.kind == "link"
+    assert w.values == (-1, 1, -1)
+    a, b, c = w.cycles
+    assert w.values == tuple(linking_number(extract_gauss(d, p)) for p in ((a, b), (a, c), (b, c)))
 
 
 def test_cycle_a2_agrees_with_extraction(n9):

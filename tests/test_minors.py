@@ -13,12 +13,21 @@ from spatialgraphs.catalog import (
     fixture,
     reduction_scripts,
 )
-from spatialgraphs.cycles import MinorModel, disjoint_cycle_tuples, lift_cycles, parse_cycle
+from spatialgraphs.cycles import (
+    MinorModel,
+    all_cycles,
+    cycle_walk,
+    disjoint_cycle_tuples,
+    lift_cycle,
+    lift_cycles,
+    parse_cycle,
+)
 from spatialgraphs.minors import has_minor, one_step_reductions, verify_minor_script
 from spatialgraphs.multigraph import (
     ContractEdge,
     DeleteEdge,
     GraphError,
+    MultiGraph,
     ReductionScript,
     UnknownVertexError,
     complete_graph,
@@ -265,8 +274,10 @@ def test_script_models_are_pinned():
 
 
 # a triangle with a loop at 0, inside a four-cycle 0-1-2-3 with a pendant
-# edge 1-5 and an isolated vertex 4; host edge ids follow the pairs' order
-_HOST = from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (1, 5)], vertices=[4])
+# edge 1-5, a second 0-1 edge and an isolated vertex 4; host edge ids follow
+# the pairs' order.  The loop's image, edge 0, closes through edge 5: without
+# it the loop would be the edge holding branch set {0, 1} together
+_HOST = from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (1, 5), (0, 1)], vertices=[4])
 _PATTERN = from_pairs([(0, 1), (1, 2), (0, 2), (0, 0)])
 _BRANCH_SETS = {0: frozenset({0, 1}), 1: frozenset({2}), 2: frozenset({3})}
 _EDGE_MAP = {0: 1, 1: 2, 2: 3, 3: 0}
@@ -310,3 +321,41 @@ def test_validate_names_a_vertex_the_host_lacks():
     for bs in (frozenset({9}), frozenset({3, 9})):
         with pytest.raises(UnknownVertexError, match="no vertex 9"):
             MinorModel(_HOST, _PATTERN, {**_BRANCH_SETS, 2: bs}, _EDGE_MAP).validate()
+
+
+# a one-vertex pattern with a loop, edge 0
+_LOOP = MultiGraph([1], [(0, 1, 1)])
+
+
+def test_validate_refuses_a_loop_that_holds_its_branch_set_together():
+    # the loop's image is the only edge joining branch set {1, 3}, so
+    # contracting that set would leave no loop
+    model = MinorModel(from_pairs([(1, 3)]), _LOOP, {1: frozenset({1, 3})}, {0: 0})
+    with pytest.raises(GraphError, match="branch set of 1 is not connected"):
+        model.validate()
+    with pytest.raises(GraphError, match="no path 3 -> 1"):
+        lift_cycle(model, frozenset({0}))
+
+
+def test_a_loop_lifts_through_its_branch_set():
+    model = MinorModel(from_pairs([(1, 2), (2, 3), (1, 3)]), _LOOP, {1: frozenset({1, 2, 3})}, {0: 2})
+    model.validate()
+    # the loop's image, edge 2 (1-3), closes through 3-2-1
+    assert lift_cycle(model, frozenset({0})) == frozenset({0, 1, 2})
+
+
+@pytest.mark.parametrize("host, pattern, found", [
+    (from_pairs([(1, 2), (2, 3), (1, 3)]), _LOOP, True),
+    (complete_graph(4), MultiGraph([1, 2], [(0, 1, 1), (1, 1, 2)]), True),
+    (complete_graph(4), MultiGraph([1], [(0, 1, 1), (1, 1, 1)]), True),
+    (from_pairs([(1, 3)]), _LOOP, False),
+], ids=["triangle has a loop", "K4 has a loop and an edge", "K4 has two loops at a vertex",
+        "an edge has no loop"])
+def test_has_minor_finds_loop_patterns(host, pattern, found):
+    # a loop needs a parallel copy beside the edge whose contraction makes it
+    model = has_minor(host, pattern)
+    assert (model is not None) == found
+    if model is not None:
+        model.validate()
+        for c in all_cycles(pattern):
+            cycle_walk(host, lift_cycle(model, c))

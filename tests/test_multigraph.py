@@ -34,6 +34,13 @@ def test_complete_graph_basics():
     assert g.is_simple()
 
 
+@pytest.mark.parametrize("n, labels", [(3, [1, 1, 2]), (2, [5, 5])])
+def test_complete_graph_refuses_repeated_labels(n, labels):
+    # a repeated label would turn an edge of K_n into a loop or a parallel
+    with pytest.raises(GraphError, match="not distinct"):
+        complete_graph(n, labels)
+
+
 def test_from_pairs_ids_in_input_order():
     g = from_pairs([(3, 1), (1, 2), (2, 3)])
     # endpoints come back normalized, ids follow input order
@@ -127,8 +134,7 @@ def test_apply_script_on_label_pairs():
     res = apply_script(g, script)
     assert res.graph.vertex_count == 2
     # label 4 was merged into 3, label 2 is gone
-    assert res.vertex_map[4] == 3
-    assert res.vertex_map[2] is None
+    assert res.branch_sets == {1: frozenset({1}), 3: frozenset({3, 4})}
 
 
 def test_apply_script_empty_is_identity():
@@ -142,6 +148,19 @@ def test_apply_script_reports_step_index():
     script = ReductionScript([DeleteEdge(1, 2), DeleteEdge(1, 2)])
     with pytest.raises(ScriptError, match="step 1"):
         apply_script(g, script)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([DeleteVertex(9)], "step 0: label 9 was never a vertex"),
+    ([DeleteVertex(2), DeleteEdge(1, 2)], "step 1: vertex 2 was deleted earlier"),
+    ([ContractEdge(1, 2), DeleteVertex(1), DeleteEdge(2, 3)], "step 2: vertex 2 was deleted earlier"),
+    ([ContractEdge(1, 2), ContractEdge(2, 1)], "step 1: 2 and 1 already merged"),
+    ([DeleteEdge(1, 2), ContractEdge(1, 2)], "step 1: no edge between 1 and 2"),
+], ids=["never a vertex", "deleted", "merged then deleted", "already merged",
+        "contraction without an edge"])
+def test_apply_script_names_the_step_it_cannot_run(steps, message):
+    with pytest.raises(ScriptError, match=f"^{message}$"):
+        apply_script(complete_graph(4), ReductionScript(steps))
 
 
 def test_script_contractions_resolve_merged_labels():
