@@ -75,7 +75,7 @@ from .multigraph import (
     parse_edge_list,
     simplify,
 )
-from .planarity import apex_witness, is_k_apex, is_planar
+from .planarity import apex_witness, is_planar
 
 from . import catalog, claims
 

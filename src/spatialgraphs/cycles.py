@@ -31,8 +31,10 @@ Beyond these this module implements
 * ``vertex_masks``: the one cycle-vertex helper, a bit mask per cycle,
   shared by the disjoint-cycle search and Gauss code extraction,
 * ``lift_cycles``: pushing cycles of a minor through a ``MinorModel`` into
-  the host graph (injective; branch set paths chosen shortest, ties to the
-  smallest vertex id), a loop's by the same walk and check as any cycle.
+  the host graph (injective; within a branch set, along its one
+  breadth-first tree from its smallest vertex, so that all lifts lie in
+  one copy of the pattern with its branch sets expanded to trees), a
+  loop's by the same walk and check as any cycle.
   ``validate`` and lifting walk a branch set off the edge images, so a
   loop's image must close through its branch set, not hold it together.
 """
@@ -47,6 +49,7 @@ from .multigraph import MultiGraph, GraphError, UnknownVertexError
 
 Cycle = frozenset[int]
 CycleTuple = tuple[Cycle, ...]
+_Tree = dict[int, tuple[int, Optional[int]]]  # vertex -> (parent, edge id)
 
 
 def all_cycles(g: MultiGraph) -> tuple[Cycle, ...]:
@@ -319,7 +322,7 @@ class MinorModel:
             missing = bs.difference(self.host.vertices)
             if missing:
                 raise UnknownVertexError(f"no vertex {min(missing)}")
-            if len(_branch_tree(self.host, bs, images, min(bs))) != len(bs):
+            if len(_branch_tree(self.host, bs, images)) != len(bs):
                 raise GraphError(f"branch set of {pv} is not connected")
         if len(images) != len(self.edge_map):
             raise GraphError("edge map is not injective")
@@ -337,17 +340,18 @@ class MinorModel:
 
 
 def _branch_tree(
-    g: MultiGraph, inside: frozenset[int], images: frozenset[int], a: int, b: Optional[int] = None
-) -> dict[int, tuple[int, Optional[int]]]:
-    """Shortest-path tree from a within the branch set ``inside``, off the
-    model's edge ``images``: each reached vertex maps to its smallest
-    neighbour one step closer to a and the smallest edge id joining them,
-    and a to (a, None), so lifted cycles do not depend on dict ordering.
-    The BFS stops at the layer that reaches b, or covers a's component.
+    g: MultiGraph, inside: frozenset[int], images: frozenset[int]
+) -> _Tree:
+    """Breadth-first tree of the branch set ``inside`` off the model's edge
+    ``images``, rooted at its smallest vertex r: each reached vertex maps
+    to its smallest neighbour one step closer to r and the smallest edge
+    id joining them, and r to (r, None), so lifted cycles do not depend
+    on dict ordering.  It covers r's component of the set.
     """
-    tree: dict[int, tuple[int, Optional[int]]] = {a: (a, None)}
-    frontier = [a]
-    while frontier and b not in tree:
+    r = min(inside)
+    tree: _Tree = {r: (r, None)}
+    frontier = [r]
+    while frontier:
         nxt = []
         for x in sorted(frontier):
             for eid, w in g.incident(x):
@@ -358,33 +362,53 @@ def _branch_tree(
     return tree
 
 
-def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
-    """Image of one pattern cycle in the host graph: per step of the
-    pattern's ``cycle_walk``, the ``_branch_tree`` path from where the image
-    enters the vertex's branch set to where it leaves, and the image of the
-    edge it leaves by.  An edge image has one end in the branch set, but a
-    loop's may have both: it enters at the second and leaves at the first.
-    """
+def _to_root(tree: _Tree, x: int) -> set[int]:
+    """Edge ids of the path from x to the root of a ``_branch_tree``."""
+    out = set()
+    x, eid = tree[x]
+    while eid is not None:
+        out.add(eid)
+        x, eid = tree[x]
+    return out
+
+
+def _lift(model: MinorModel, trees: Mapping[int, _Tree], pattern_cycle: Cycle) -> Cycle:
+    """``lift_cycle`` through the branch sets' trees, as ``_branch_tree``
+    gives them per pattern vertex."""
     host = model.host
-    images = frozenset(model.edge_map.values())
     walk = cycle_walk(model.pattern, pattern_cycle)
     out: set[int] = set()
     for i, (pv, e_out) in enumerate(walk):
-        bs = model.branch_sets[pv]
+        bs, tree = model.branch_sets[pv], trees[pv]
         h_in, h_out = model.edge_map[walk[i - 1][1]], model.edge_map[e_out]
         a_in = [x for x in host.endpoints(h_in) if x in bs][-1]
         a_out = [x for x in host.endpoints(h_out) if x in bs][0]
-        tree = _branch_tree(host, bs, images, a_in, a_out)
-        if a_out not in tree:
+        if a_in not in tree or a_out not in tree:
             raise GraphError(f"branch set has no path {a_in} -> {a_out}")
-        x = a_out
-        while x != a_in:
-            x, eid = tree[x]
-            out.add(eid)
+        # the tree path: the edges of the two paths to the root not shared
+        out |= _to_root(tree, a_in) ^ _to_root(tree, a_out)
         out.add(h_out)
     lifted = frozenset(out)
     cycle_walk(host, lifted)  # raises GraphError unless the lift is a cycle
     return lifted
+
+
+def _branch_trees(model: MinorModel) -> dict[int, _Tree]:
+    images = frozenset(model.edge_map.values())
+    return {pv: _branch_tree(model.host, bs, images) for pv, bs in model.branch_sets.items()}
+
+
+def lift_cycle(model: MinorModel, pattern_cycle: Cycle) -> Cycle:
+    """Image of one pattern cycle in the host graph: per step of the
+    pattern's ``cycle_walk``, the path from where the image enters the
+    vertex's branch set to where it leaves, and the image of the edge it
+    leaves by.  The path runs through the set's one ``_branch_tree``, so
+    every cycle a model lifts lies in one copy of the pattern with its
+    branch sets expanded to trees.  An edge image has one end in the
+    branch set, but a loop's may have both: it enters at the second and
+    leaves at the first.
+    """
+    return _lift(model, _branch_trees(model), pattern_cycle)
 
 
 def lift_cycles(
@@ -394,8 +418,9 @@ def lift_cycles(
     collide (the map is injective)."""
     out: dict[CycleTuple, frozenset[Cycle]] = {}
     seen: dict[frozenset[Cycle], CycleTuple] = {}
+    trees = _branch_trees(model)
     for t in tuples:
-        image = frozenset(lift_cycle(model, c) for c in t)
+        image = frozenset(_lift(model, trees, c) for c in t)
         if len(image) != len(t):
             raise GraphError("components of a lifted tuple collided")
         if image in seen and seen[image] != t:

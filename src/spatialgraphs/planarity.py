@@ -14,13 +14,17 @@ applies:
   v >= 3 vertices has at most 3v - 6 edges);
 - no triangle and e > 2v - 4: non-planar, by Euler's formula with every
   face of length at least 4;
-- otherwise networkx's left-right test on the kernel.  A positive answer
-  is certified in-process: the returned combinatorial embedding must
-  satisfy V - E + F = 2C on the kernel, checked by walking all faces.  A
-  negative answer is networkx's alone.
+- otherwise the path-addition test of Demoucron, Malgrange & Pertuiset
+  (1964), run on each block of the kernel.  A positive answer is
+  certified in-process: the blocks' embeddings, spliced at their cut
+  vertices into one rotation system of the kernel, must satisfy
+  V - E + F = 2C, checked by walking all faces.  A negative answer (a
+  fragment with no face to go in) is not certified; a Kuratowski
+  subgraph would certify it.
 
 The test suite cross-validates the verdict against an independent
-K5/K3,3 minor search, so the two routes keep each other honest.
+K5/K3,3 minor search and against networkx, so the routes keep each
+other honest.
 
 A graph g that is not k-apex settles some planarity questions about its
 one-step reductions h.  g - T is non-planar for every vertex set T with
@@ -41,26 +45,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-import networkx as nx
-
 from .canon import _set_orbit, automorphisms, edge_orbits
 from .minors import one_step_reductions
 from .multigraph import GraphError, MultiGraph, UnknownVertexError
-
-
-def _face_count(embedding: "nx.PlanarEmbedding") -> int:
-    half_edges = set()
-    for u, v in embedding.edges():
-        half_edges.add((u, v))
-        half_edges.add((v, u))
-    faces = 0
-    seen = set()
-    for he in sorted(half_edges):
-        if he in seen:
-            continue
-        faces += 1
-        embedding.traverse_face(*he, mark_half_edges=seen)
-    return faces
 
 
 def _kernel(g: MultiGraph, removed: frozenset[int]) -> dict[int, set[int]]:
@@ -87,17 +74,207 @@ def _kernel(g: MultiGraph, removed: frozenset[int]) -> dict[int, set[int]]:
     return adj
 
 
+def _blocks(adj: dict[int, set[int]]) -> list[list[tuple[int, int]]]:
+    """Edge lists of the blocks (maximal biconnected pieces) of a simple
+    graph, by depth-first search with low points (Hopcroft & Tarjan)."""
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks = []
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        edges: list[tuple[int, int]] = []
+        while stack:
+            v, parent, rest = stack[-1]
+            for w in rest:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and order[w] < order[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], order[w])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= order[parent]:  # parent cuts v's subtree off
+                        i = edges.index((parent, v))
+                        blocks.append(edges[i:])
+                        del edges[i:]
+    return blocks
+
+
+def _block_faces(adj: dict[int, set[int]]) -> Optional[list[list[int]]]:
+    """Faces of a plane embedding of a biconnected simple graph, each a
+    cyclic vertex list, darts in a consistent direction; None when the
+    graph is not planar.  Path addition (Demoucron, Malgrange &
+    Pertuiset 1964): embed a cycle, then, while a fragment is left (an
+    edge outside the embedded graph H joining two of its vertices, or a
+    component of the graph less H with its edges to H), take one with the
+    fewest admissible faces (faces holding all its vertices in H) and draw
+    a path of it across the first.  A fragment with none means the graph
+    is not planar."""
+    path: list[int] = []
+    at: dict[int, int] = {}
+    v, prev = next(iter(adj)), None
+    while v not in at:  # walk without stepping back until a vertex repeats
+        at[v] = len(path)
+        path.append(v)
+        v, prev = next(w for w in adj[v] if w != prev), v
+    cycle = path[at[v]:]
+    faces = [cycle, cycle[::-1]]
+    placed = set(cycle)
+    left = {x: set(ns) for x, ns in adj.items()}  # edges not yet embedded
+    for i, x in enumerate(cycle):
+        left[x].discard(cycle[i - 1])
+        left[cycle[i - 1]].discard(x)
+    while True:
+        fragments = [({u, w}, None) for u in placed for w in left[u] if w in placed and u < w]
+        seen: set[int] = set()
+        for s in adj:
+            if s in placed or s in seen:
+                continue
+            piece, todo, feet = {s}, [s], set()
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w in placed:
+                        feet.add(w)
+                    elif w not in piece:
+                        piece.add(w)
+                        todo.append(w)
+            seen |= piece
+            fragments.append((feet, piece))
+        if not fragments:
+            return faces
+        best = None
+        for feet, piece in fragments:
+            fits = [i for i, f in enumerate(faces) if feet.issubset(f)]
+            if not fits:
+                return None
+            if best is None or len(fits) < len(best[0]):
+                best = fits, feet, piece
+                if len(fits) == 1:
+                    break
+        fits, feet, piece = best
+        if piece is None:
+            route = sorted(feet)
+        else:  # from its smallest foot a, through the piece, to another foot
+            a = min(feet)
+            start = next(x for x in piece if a in adj[x])
+            parent = {start: None}
+            todo = [start]
+            for x in todo:
+                b = next((w for w in adj[x] if w in placed and w != a), None)
+                if b is not None:
+                    break
+                for w in adj[x]:
+                    if w in piece and w not in parent:
+                        parent[w] = x
+                        todo.append(w)
+            route = [b]
+            while x is not None:
+                route.append(x)
+                x = parent[x]
+            route.append(a)
+            route.reverse()
+        for x, y in zip(route, route[1:]):
+            left[x].discard(y)
+            left[y].discard(x)
+        placed.update(route)
+        # split the face: a ... b along it and back along the route, then
+        # b ... a along it and on along the route
+        f = faces[fits[0]]
+        i = f.index(route[0])
+        f = f[i:] + f[:i]
+        k = f.index(route[-1])
+        faces[fits[0]] = f[:k + 1] + route[-2:0:-1]
+        faces.append(f[k:] + route[:-1])
+
+
+def _embedding(adj: dict[int, set[int]]) -> Optional[dict[int, list[int]]]:
+    """A rotation system of a plane embedding of the simple graph adj
+    (each vertex's neighbours in cyclic order), or None when adj is not
+    planar.  Each block is embedded by ``_block_faces`` (a bridge has one
+    face), a vertex's rotation in a block is read off the faces, and its
+    rotations in its blocks are listed one after another, which splices
+    the blocks at their cut vertices without a crossing."""
+    rotation: dict[int, list[int]] = {v: [] for v in adj}
+    for block in _blocks(adj):
+        if len(block) == 1:
+            faces = [list(block[0])]
+        else:
+            sub: dict[int, set[int]] = {}
+            for u, w in block:
+                sub.setdefault(u, set()).add(w)
+                sub.setdefault(w, set()).add(u)
+            faces = _block_faces(sub)
+            if faces is None:
+                return None
+        after: dict[int, dict[int, int]] = {}  # the face walk's u -> v -> w
+        for f in faces:
+            for i, v in enumerate(f):
+                after.setdefault(v, {})[f[i - 1]] = f[(i + 1) % len(f)]
+        for v, turn in after.items():
+            x = min(turn)
+            for _ in turn:
+                rotation[v].append(x)
+                x = turn[x]
+    return rotation
+
+
+def _euler_holds(adj: dict[int, set[int]], rotation: dict[int, list[int]]) -> bool:
+    """Whether rotation is a rotation system of the simple graph adj whose
+    faces give V - E + F = 2C, C the number of components and an isolated
+    vertex a face of its own.  A face walk leaves dart (u, v) by (v, w),
+    w the neighbour after u in v's rotation.  Every component of a
+    rotation system has V - E + F = 2 - 2g for its genus g, so equality
+    holds only for an embedding in the plane."""
+    if rotation.keys() != adj.keys() or any(
+            len(r) != len(adj[v]) or set(r) != adj[v] for v, r in rotation.items()):
+        return False
+    turn = {v: {r[i - 1]: r[i] for i in range(len(r))} for v, r in rotation.items()}
+    darts = {(u, w) for u, ns in adj.items() for w in ns}
+    edges = len(darts) // 2
+    faces = sum(1 for ns in adj.values() if not ns)
+    while darts:
+        start = u, w = darts.pop()
+        faces += 1
+        u, w = w, turn[w][u]
+        while (u, w) != start:
+            darts.remove((u, w))
+            u, w = w, turn[w][u]
+    components = 0
+    seen: set[int] = set()
+    for s in adj:
+        if s in seen:
+            continue
+        components += 1
+        seen.add(s)
+        todo = [s]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return len(adj) - edges + faces == 2 * components
+
+
 def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
     """Planarity of g less the vertices in removed, decided on the kernel.
 
-    Certified by theorem without networkx: planar when the kernel has at
-    most 4 vertices, or 5 and fewer than 10 edges (a subgraph of K4 or of
-    K5 - e); non-planar when e > 3v - 6 (Euler), or when the kernel has no
+    Certified by theorem: planar when the kernel has at most 4 vertices,
+    or 5 and fewer than 10 edges (a subgraph of K4 or of K5 - e);
+    non-planar when e > 3v - 6 (Euler), or when the kernel has no
     triangle and e > 2v - 4 (Euler, girth 4).  What these leave goes to
-    networkx, whose positive answers are certified by the Euler face
-    count of the embedding on the kernel; its negatives are not
-    certified.  Raises ``UnknownVertexError`` for a label of removed that
-    is not a vertex of g.
+    the path-addition test ``_embedding``, whose positive answers are
+    certified by the Euler face count of its rotation system on the
+    kernel (``_euler_holds``); its negatives are not certified.  Raises
+    ``UnknownVertexError`` for a label of removed that is not a vertex of
+    g.
     """
     for x in removed:
         if not g.has_vertex(x):
@@ -112,13 +289,12 @@ def is_planar(g: MultiGraph, removed: frozenset[int] = frozenset()) -> bool:
     edges = [(a, b) for a, ns in adj.items() for b in ns if a < b]
     if e > 2 * v - 4 and all(adj[a].isdisjoint(adj[b]) for a, b in edges):
         return False
-    ng = nx.Graph(edges)
-    ok, embedding = nx.check_planarity(ng)
+    rotation = _embedding(adj)
     # certify the embedding before trusting it: every component must
     # satisfy V - E + F = 2, with faces counted off the rotation system
-    if ok and v - e + _face_count(embedding) != 2 * nx.number_connected_components(ng):
+    if rotation is not None and not _euler_holds(adj, rotation):
         raise AssertionError("planar embedding failed the Euler check")
-    return ok
+    return rotation is not None
 
 
 def apex_witness(g: MultiGraph, k: int) -> Optional[frozenset[int]]:
@@ -160,12 +336,6 @@ def _apex_search(g: MultiGraph, k: int, below: int = 0,
                 generators = automorphisms(g)
             failed |= _set_orbit(removed, generators)
     return None
-
-
-def is_k_apex(g: MultiGraph, k: int) -> bool:
-    """Whether deleting some <= k vertices makes g planar.  Exhaustive over
-    vertex sets up to automorphism (see ``apex_witness``); sized for k <= 3."""
-    return apex_witness(g, k) is not None
 
 
 def all_proper_minors_2apex(g: MultiGraph) -> tuple[Optional[frozenset[int]], list[str]]:

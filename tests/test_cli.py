@@ -249,6 +249,24 @@ def test_verify_jobs_under_spawn_matches_serial(capsys):
     assert spawned["jobs"] == 2
 
 
+def test_cli_runs_without_networkx():
+    # networkx is a test oracle only: with its import blocked, a fresh
+    # interpreter still imports the CLI and passes the planarity claim
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from spatialgraphs import cli\n"
+        "assert [m for m in sys.modules if m.startswith('networkx')] == ['networkx']\n"
+        "sys.exit(cli.main(['verify', 'apex-proper-minors', '--format', 'json']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(spatialgraphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == "PASS"
+
+
 def test_spatial_a2_jobs_under_spawn_matches_serial(capsys):
     # each worker unpickles the projection and fills its own copy of the
     # memo; cg-k6 reads only cycle walks, cg-k7 also a2 forms

@@ -4,8 +4,10 @@ through models."""
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spatialgraphs import minors
+from spatialgraphs import claims, minors
 from spatialgraphs.canon import is_isomorphic
 from spatialgraphs.catalog import (
     d4_in_n9_model,
@@ -22,6 +24,7 @@ from spatialgraphs.cycles import (
     lift_cycles,
     parse_cycle,
 )
+from spatialgraphs.invariants import alpha_scope
 from spatialgraphs.minors import has_minor, one_step_reductions, verify_minor_script
 from spatialgraphs.multigraph import (
     ContractEdge,
@@ -190,6 +193,101 @@ def test_d4_model_lift(n9):
     img = set(lift_cycles(model, tuples).values())
     expected = pairs(n9, [("[1 3 4 7]", "[2 6 5 8]"), ("[1 2 3]", "[4 5 8 7]")])
     assert img == expected
+
+
+def cycle_rank(g, edge_ids):
+    """E - V + C of the subgraph of g on edge_ids (the vertices their ends)."""
+    parent = {}
+
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for eid in edge_ids:
+        u, v = g.endpoints(eid)
+        parent[root(u)] = root(v)
+    return len(edge_ids) - len(parent) + len({root(x) for x in parent})
+
+
+@pytest.fixture(scope="module")
+def d4_in_n10_prime():
+    # one branch set of this model holds a cycle off the edge images
+    model = has_minor(fixture("N'10"), fixture("D4"))
+    model.validate()
+    return model
+
+
+def test_lifts_through_a_branch_set_with_a_cycle_lie_in_one_copy_of_d4(d4_in_n10_prime):
+    model = d4_in_n10_prime
+    lifts = [lift_cycle(model, c) for c in all_cycles(model.pattern)]
+    assert len(lifts) == 20
+    assert cycle_rank(model.host, frozenset().union(*lifts)) == 5
+    assert set(lift_cycles(model, [(c,) for c in all_cycles(model.pattern)]).values()) == {
+        frozenset({c}) for c in lifts}
+
+
+def test_d4_lemma_holds_on_lifts_into_n10_prime(d4_in_n10_prime):
+    # alpha = 1 whenever both lifted bigon pairs link oddly, as in N9
+    model = d4_in_n10_prime
+    d4 = model.pattern
+    lifted = [(lift_cycle(model, a), lift_cycle(model, b)) for a, b in claims._disjoint_pairs(d4)]
+    quads = tuple(lift_cycle(model, c) for c in alpha_scope(d4))
+    alphas = [claims._d4_host_trial((0, model.host, lifted, quads), i) for i in range(40)]
+    assert sum(a is not None for a in alphas) >= 5
+    assert {a for a in alphas if a is not None} == {1}
+
+
+_SMALL_PATTERNS = [
+    from_pairs([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),  # K4
+    fixture("D4"),
+    from_pairs([(1, 2), (1, 2), (1, 2)]),  # a theta
+    from_pairs([(1, 2), (2, 3), (1, 3), (1, 3), (2, 2)]),  # a triangle, a doubled edge, a loop
+]
+
+
+@st.composite
+def thickened_models(draw):
+    """A small pattern with each vertex thickened into a branch set that
+    holds a cycle (a ring of 3 to 5 host vertices, sometimes with a
+    chord) or is a vertex or an edge, and each edge subdivided into a
+    chain whose inner vertices join its first end's branch set and whose
+    last edge is the edge's image."""
+    pattern = draw(st.sampled_from(_SMALL_PATTERNS))
+    pairs, sets = [], {}
+    n = 100
+    for pv in pattern.vertices:
+        k = draw(st.integers(1, 5))
+        ring = list(range(n, n + k))
+        n += k
+        sets[pv] = set(ring)
+        if k == 2:
+            pairs.append((ring[0], ring[1]))
+        elif k > 2:
+            pairs += zip(ring, ring[1:] + ring[:1])
+            if k > 3 and draw(st.booleans()):
+                pairs.append((ring[0], ring[2]))
+    edge_map = {}
+    for peid, pu, pv in pattern.edges:
+        x = draw(st.sampled_from(sorted(sets[pu])))
+        y = draw(st.sampled_from(sorted(sets[pv])))
+        inner = list(range(n, n + draw(st.integers(0, 2))))
+        n += len(inner)
+        sets[pu] |= set(inner)
+        chain = [x, *inner, y]
+        pairs += zip(chain, chain[1:])
+        edge_map[peid] = len(pairs) - 1
+    host = from_pairs(pairs)
+    return MinorModel(host, pattern, {pv: frozenset(bs) for pv, bs in sets.items()}, edge_map)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thickened_models())
+def test_lifts_of_all_pattern_cycles_have_the_pattern_cycle_rank(model):
+    model.validate()
+    lifts = set().union(*lift_cycles(model, [(c,) for c in all_cycles(model.pattern)]).values())
+    rank = cycle_rank(model.pattern, model.pattern.edge_ids())
+    assert cycle_rank(model.host, frozenset().union(*lifts)) == rank
 
 
 def model_digest(model):

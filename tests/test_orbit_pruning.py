@@ -11,7 +11,6 @@ canonicalised, and the cycle map built for every triangle.
 
 from itertools import combinations
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,12 +235,10 @@ def test_apex_proper_minors_work_is_pinned(monkeypatch):
     family; a lost orbit pruning raises them (4,340 and 1,050 without), and
     testing the sets each member settles in its reductions takes 1,914.
     Of the 541 planarity tests, 295 are decided on the kernel by a size or
-    edge-count bound and 246 go to networkx (all 541 without the bounds)."""
+    edge-count bound and 246 go to the path-addition test (all 541 without
+    the bounds)."""
     heawood_family()  # built and canonicalised outside the count
-    counts = {"is_planar": 0, "_canonical": 0}
-    nx_calls = []
-    check = nx.check_planarity
-    monkeypatch.setattr(nx, "check_planarity", lambda *args: nx_calls.append(args) or check(*args))
+    counts = {"is_planar": 0, "_canonical": 0, "_embedding": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -253,11 +250,11 @@ def test_apex_proper_minors_work_is_pinned(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(planarity, "is_planar")
+    counting(planarity, "_embedding")
     counting(canon, "_canonical")
     ok, evidence = claim_apex_proper_minors(None, 0, 1)
     assert ok and len(evidence["members"]) == 20
-    assert counts == {"is_planar": 541, "_canonical": 248}
-    assert len(nx_calls) == 246
+    assert counts == {"is_planar": 541, "_canonical": 248, "_embedding": 246}
 
 
 # -- the exchange closure and the cycle map, one member per orbit ---------------

@@ -1,10 +1,14 @@
-"""Planarity and k-apex testing."""
+"""Planarity and k-apex testing; the path-addition test against networkx,
+kept here as an oracle only."""
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialgraphs import planarity
 from spatialgraphs.catalog import family_member, fixture
@@ -20,10 +24,10 @@ from spatialgraphs.multigraph import (
 from spatialgraphs.planarity import (
     all_proper_minors_2apex,
     apex_witness,
-    is_k_apex,
     is_planar,
 )
 
+K4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 CUBE = [(a, a ^ 1 << k) for a in range(8) for k in range(3) if a < a ^ 1 << k]
@@ -41,6 +45,10 @@ def _subdivided(pairs, inner):
         n += inner
         out += zip(path, path[1:])
     return out
+
+
+def _shifted(pairs, by):
+    return [(u + by, v + by) for u, v in pairs]
 
 
 def test_planar_basics():
@@ -71,8 +79,9 @@ def test_planar_handles_multigraphs():
     assert is_planar(doubled)
 
 
-# one graph per rule of is_planar: the kernel's (vertices, edges), the
-# verdict, and whether networkx was asked
+# one graph per rule of is_planar, then four more for the path-addition
+# test's blocks and fragment order: the kernel's (vertices, edges), the
+# verdict, and whether the path-addition test was asked
 @pytest.mark.parametrize("pairs, kernel, planar, asked", [
     # K5 with every edge subdivided twice and a pendant tree (a claw) hung
     # on vertex 0: e = 10 > 3v - 6
@@ -87,15 +96,23 @@ def test_planar_handles_multigraphs():
     (OCTAHEDRON, (6, 12), True, 1),
     # Petersen: triangle-free, e = 15 <= 2v - 4 = 16
     (PETERSEN, (10, 15), False, 1),
+    (K4 + _shifted(K4, 4) + [(0, 4)], (8, 13), True, 1),
+    (K33 + _shifted(K33, 5), (11, 18), False, 1),
+    (K5 + _shifted(K4, 5), (9, 16), False, 1),
+    # planar, but drawing the fragments in the order found, instead of one
+    # with the fewest faces first, strands one with no face to go in
+    ([(1, 4), (1, 6), (1, 7), (2, 3), (3, 4), (4, 6), (2, 6), (3, 6), (6, 7), (2, 7)],
+     (6, 10), True, 1),
 ], ids=["subdivided-K5-with-trees", "subdivided-K33", "subdivided-K5-less-e", "cube",
-        "octahedron", "Petersen"])
+        "octahedron", "Petersen", "two-K4-and-a-bridge", "two-K33-sharing-a-vertex",
+        "K5-apart-from-K4", "fewest-faces-first"])
 def test_each_kernel_rule(monkeypatch, pairs, kernel, planar, asked):
     g = from_pairs(pairs)
     adj = planarity._kernel(g, frozenset())
     assert (len(adj), sum(map(len, adj.values())) // 2) == kernel
     calls = []
-    check = nx.check_planarity
-    monkeypatch.setattr(nx, "check_planarity", lambda *args: calls.append(args) or check(*args))
+    embed = planarity._embedding
+    monkeypatch.setattr(planarity, "_embedding", lambda *args: calls.append(args) or embed(*args))
     assert is_planar(g) is planar
     assert len(calls) == asked
 
@@ -106,6 +123,53 @@ def test_kernel_of_a_tree_with_loops_and_parallels_is_empty():
     assert is_planar(g)
 
 
+def _nx_planar(adj):
+    ng = nx.Graph()
+    ng.add_nodes_from(adj)
+    ng.add_edges_from((a, b) for a, ns in adj.items() for b in ns)
+    return nx.check_planarity(ng)[0]
+
+
+@st.composite
+def kernels(draw):
+    """The kernel of one or two random graphs on 5 to 9 vertices, the
+    second apart from the first, sharing a vertex with it or joined to it
+    by an edge, so kernels come disconnected, with cut vertices and with
+    bridges."""
+    pairs = []
+    for piece in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(5, 9))
+        edges = list(combinations(range(10 * piece, 10 * piece + size), 2))
+        pairs += sorted(draw(st.sets(st.sampled_from(edges), min_size=size + 3,
+                                     max_size=3 * size - 6)))
+        if piece:
+            glue = draw(st.sampled_from(["apart", "vertex", "edge"]))
+            if glue == "vertex":
+                pairs = [tuple(0 if x == 10 else x for x in p) for p in pairs]
+            elif glue == "edge":
+                pairs.append((0, 10))
+    return planarity._kernel(from_pairs(pairs), frozenset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernels().filter(lambda adj: len(adj) > 5))  # past the size rule
+def test_path_addition_matches_networkx(adj):
+    rotation = planarity._embedding(adj)
+    assert (rotation is not None) == _nx_planar(adj)
+    if rotation is not None:
+        assert planarity._euler_holds(adj, rotation)
+
+
+def test_euler_check_rejects_a_twisted_rotation():
+    # swapping two neighbours at a cube vertex reverses its rotation, which
+    # puts the cube on a surface of higher genus
+    adj = planarity._kernel(from_pairs(CUBE), frozenset())
+    rotation = planarity._embedding(adj)
+    assert planarity._euler_holds(adj, rotation)
+    a, b, *rest = rotation[0]
+    assert not planarity._euler_holds(adj, {**rotation, 0: [b, a, *rest]})
+
+
 def test_is_planar_rejects_unknown_vertices():
     for removed in ({99}, {1, 99}):
         with pytest.raises(UnknownVertexError):
@@ -114,16 +178,14 @@ def test_is_planar_rejects_unknown_vertices():
 
 def test_apex_search_rejects_negative_k():
     # and any k that is not an int: a bool would otherwise run as 0 or 1
-    for search in (apex_witness, is_k_apex):
-        for k in (-1, 1.5, True, "2", None):
-            with pytest.raises(GraphError):
-                search(complete_graph(5), k)
+    for k in (-1, 1.5, True, "2", None):
+        with pytest.raises(GraphError):
+            apex_witness(complete_graph(5), k)
 
 
 def test_apex_witness_of_k6():
     k6 = complete_graph(6)
-    assert not is_k_apex(k6, 1)
-    assert is_k_apex(k6, 2)
+    assert apex_witness(k6, 1) is None
     w = apex_witness(k6, 2)
     assert len(w) == 2
     g = k6
@@ -133,13 +195,13 @@ def test_apex_witness_of_k6():
 
 
 def test_k7_is_not_two_apex():
-    assert not is_k_apex(complete_graph(7), 2)
-    assert is_k_apex(complete_graph(7), 3)
+    assert apex_witness(complete_graph(7), 2) is None
+    assert apex_witness(complete_graph(7), 3) is not None
 
 
 def test_family_members_are_not_two_apex(n9):
-    assert not is_k_apex(n9, 2)
-    assert not is_k_apex(family_member("P10"), 1)
+    assert apex_witness(n9, 2) is None
+    assert apex_witness(family_member("P10"), 1) is None
 
 
 def test_all_proper_minors_two_apex_on_small_case():
@@ -150,9 +212,10 @@ def test_all_proper_minors_two_apex_on_small_case():
     assert failures == []
 
 
-def test_only_planarity_imports_networkx():
-    # networkx stays behind one module, so that moving that boundary is a
-    # deliberate change to this test and never a side effect
+def test_no_module_imports_networkx():
+    # planarity is decided in-repo; networkx is a test oracle only, so a
+    # runtime import of it is a deliberate change to this test and never
+    # a side effect
     importers = set()
     for path in sorted(Path(planarity.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -164,4 +227,4 @@ def test_only_planarity_imports_networkx():
                 continue
             if any(name.split(".")[0] == "networkx" for name in names):
                 importers.add(path.stem)
-    assert importers == {"planarity"}
+    assert importers == set()
